@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_families)
 
     def add_verify(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", type=int, default=None, help="worker processes; 1 forces sequential")
+        p.add_argument("--jobs", type=int, default=None, help="worker processes, held to 1..min(CPU count, graphs); 1 forces sequential")
         p.add_argument("--witnesses", action="store_true", help="also check witness extraction and transformations")
         p.add_argument("--records", metavar="FILE", help="write one key=value record per graph")
 

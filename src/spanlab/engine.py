@@ -5,11 +5,15 @@ such that the pair graph at threshold ``r`` contains a connected component
 whose two coordinate projections each cover the whole vertex set.  Walking
 such a component visits every vertex with both actors while they never come
 closer than ``r``; conversely any pair of covering walks traces such a
-component, so the search over thresholds is exact.
+component.  A covering component at ``r`` lies inside one at ``r - 1``, so
+the span is found by one union-find sweep that adds pairs from the radius
+down and stops at the first threshold where a component covers both
+coordinates; no pair graph is built.
 
 Witnesses are extracted as the closed depth-first traversal of a spanning
-tree of the winning component: not the shortest possible walk, but always a
-rule-conformant one with the promised safety distance.
+tree of the winning component, searched over its members only: not the
+shortest possible walk, but always a rule-conformant one with the promised
+safety distance.
 """
 
 from __future__ import annotations
@@ -22,12 +26,16 @@ from .errors import (
     NotLazyConformantError,
     VertexOutOfRangeError,
 )
-from .graph import Graph
-from .product import (
+from .graph import Graph, _bits
+# build_pair_graph and components_with_double_surjectivity are not used
+# here; they are re-exported because the benchmark's tracer looks them up
+# through this module.
+from .product import (  # noqa: F401
     MovementRule,
     Pair,
     build_pair_graph,
     components_with_double_surjectivity,
+    pair_neighbors,
 )
 
 
@@ -88,17 +96,64 @@ class MoveAttribution:
 
 
 def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
-    """Span of ``g`` under ``rule``, searching thresholds downward.
+    """Span of ``g`` under ``rule``, by one descending union-find sweep.
 
-    The radius bounds every span from above, and threshold 0 always admits
-    a covering component, so the descent terminates with the witness at the
-    maximal threshold.
+    Ordered pairs join in buckets of ``min(d(u, v), radius)``, from the
+    radius down.  Each joining pair is unioned with its live
+    rule-neighbours; neighbours already inside the growing component are
+    skipped, so each neighbouring component costs one ``find``.  Every root
+    keeps its member bitmask and the union of its two coordinate
+    projections.  A component that covers every vertex in both coordinates
+    still does at every lower threshold, so the first bucket that leaves one
+    covering gives the span.  Only components that bucket touched can have
+    just started covering; among them the one with the smallest pair index
+    is the witness.  Threshold 0 joins every pair, so the sweep always ends
+    with a witness.
     """
-    for r in range(g.radius, -1, -1):
-        pg = build_pair_graph(g, rule, r)
-        qualifying = components_with_double_surjectivity(pg)
+    n = g.n
+    top = g.radius
+    step = pair_neighbors(g, rule)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for u, row in enumerate(g.distances.rows()):
+        for v, d in enumerate(row):
+            buckets[min(d, top)].append(u * n + v)
+
+    # A component's cover has bit u for each first coordinate u and bit
+    # n + v for each second coordinate v of its members.
+    covering = (1 << 2 * n) - 1
+    parent = list(range(n * n))
+    comps: dict[int, tuple[int, int, int]] = {}  # root -> (size, members, cover)
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    live = 0
+    for r in range(top, -1, -1):
+        bucket = buckets[r]
+        for i in bucket:
+            live |= 1 << i
+            u, v = divmod(i, n)
+            root, size, members, cover = i, 1, 1 << i, 1 << u | 1 << (n + v)
+            todo = step(i) & live
+            while todo:
+                other = find((todo & -todo).bit_length() - 1)
+                other_size, other_members, other_cover = comps.pop(other)
+                if other_size > size:
+                    root, other = other, root
+                parent[other] = root
+                size += other_size
+                members |= other_members
+                cover |= other_cover
+                todo &= ~members
+            comps[root] = (size, members, cover)
+
+        touched = [comps[root] for root in {find(i) for i in bucket}]
+        qualifying = [members for _, members, cover in touched if cover == covering]
         if qualifying:
-            component = qualifying[0]
+            winner = min(qualifying, key=lambda m: m & -m)
+            component = tuple(divmod(i, n) for i in _bits(winner))
             eps = min(g.distance(u, v) for u, v in component)
             return SpanReport(g, rule, r, component, eps)
     raise AssertionError("threshold 0 must always admit a covering component")
@@ -107,40 +162,34 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
 def extract_witness_tracks(report: SpanReport) -> TrackPair:
     """Concrete walks for both actors realising the reported span.
 
-    Builds a spanning tree of the witness component rooted at its smallest
-    pair and emits the closed depth-first traversal (every tree edge walked
-    down and back up), giving walks of length ``2 * |component| - 1`` at
-    most.  The traversal steps are pair-graph edges, so the result conforms
-    to the report's rule, covers every vertex in both coordinates, and its
-    minimum distance equals the span.
+    Builds a breadth-first spanning tree of the witness component rooted at
+    its smallest pair and emits the closed depth-first traversal (every tree
+    edge walked down and back up), giving walks of length
+    ``2 * |component| - 1`` at most.  The search never leaves the component:
+    a node's children are its rule-neighbours among the members not yet
+    seen, in ascending pair order, so no pair graph is built.  The traversal
+    steps are rule steps between pairs at distance >= the span, so the
+    result conforms to the report's rule, covers every vertex in both
+    coordinates, and its minimum distance equals the span.
     """
     component = report.witness_component
     if not component:
         raise ValueError("witness component is empty")
-    if len(component) == 1:
-        u, v = component[0]
-        return TrackPair((u,), (v,), report.rule)
 
-    pg = build_pair_graph(report.graph, report.rule, report.value)
-    members = set(component)
-    root = component[0]
-
-    # Breadth-first spanning tree with children kept in ascending pair order.
-    children: dict[Pair, list[Pair]] = {p: [] for p in component}
-    seen = {root}
+    n = report.graph.n
+    step = pair_neighbors(report.graph, report.rule)
+    root = component[0][0] * n + component[0][1]
+    unseen = sum(1 << (u * n + v) for u, v in component) ^ 1 << root
+    children: dict[int, list[int]] = {}
     queue = [root]
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
-        for nb in pg.neighbors(*node):
-            if nb in members and nb not in seen:
-                seen.add(nb)
-                children[node].append(nb)
-                queue.append(nb)
+    for node in queue:  # the queue grows while it is read
+        found = step(node) & unseen
+        unseen ^= found
+        children[node] = list(_bits(found))
+        queue += children[node]
 
     walk = [root]
-    stack: list[tuple[Pair, Iterator[Pair]]] = [(root, iter(children[root]))]
+    stack: list[tuple[int, Iterator[int]]] = [(root, iter(children[root]))]
     while stack:
         node, it = stack[-1]
         child = next(it, None)
@@ -152,8 +201,8 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
             walk.append(child)
             stack.append((child, iter(children[child])))
 
-    f = tuple(p[0] for p in walk)
-    g = tuple(p[1] for p in walk)
+    f = tuple(i // n for i in walk)
+    g = tuple(i % n for i in walk)
     return TrackPair(f, g, report.rule)
 
 

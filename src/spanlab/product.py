@@ -10,15 +10,19 @@ actors may move in one step:
 * lazy        -- exactly one actor moves along an edge (the Cartesian-product
   step).
 
-Pair vertices are indexed ``u * n + v``; adjacency is held as bitmasks over
-those indices, which keeps component sweeps cheap even for the 256-vertex
-pair graphs of the 4-cube.
+Pair vertices are indexed ``u * n + v``.  ``pair_neighbors`` is the one
+definition of a rule's step: it maps a pair index to the bitmask of the
+pair indices one step away.  The span sweep and the witness search in
+``engine`` call it directly, on live pairs and on a component's members.
+``build_pair_graph`` materialises the whole graph at one threshold from the
+same step; the tests use it as the reference the sweep is compared against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from .errors import ThresholdTooLargeError
 from .graph import Graph, _bits
@@ -125,6 +129,42 @@ class PairGraph:
         ]
 
 
+def pair_neighbors(g: Graph, rule: MovementRule) -> Callable[[int], int]:
+    """The rule's one step, as a map from a pair index to a neighbour bitmask.
+
+    The returned function sends pair index ``u * n + v`` to the bitmask of
+    every pair index one step away under ``rule``, over all ``n * n`` pairs
+    with no distance filter; callers AND it with the pairs they keep.  This
+    is the only place a rule's step is spelled out.
+    """
+    n = g.n
+    masks = g._masks
+    # spread[u] has bit w * n set for each neighbour w of u.  Multiplying an
+    # n-bit mask by it lays one copy into each neighbour's block of n pair
+    # indices; the copies cannot overlap, so no carry crosses a block.
+    spread = [sum(1 << (w * n) for w in _bits(m)) for m in masks]
+    if rule is MovementRule.ACTIVE:
+
+        def step(i: int) -> int:
+            u, v = divmod(i, n)
+            return masks[v] * spread[u]
+
+    elif rule is MovementRule.LAZY:
+
+        def step(i: int) -> int:
+            u, v = divmod(i, n)
+            return masks[v] << (u * n) | spread[u] << v
+
+    else:
+
+        def step(i: int) -> int:
+            u, v = divmod(i, n)
+            # Closed neighbourhoods in both coordinates, minus staying put.
+            return (masks[v] | 1 << v) * (spread[u] | 1 << (u * n)) ^ 1 << i
+
+    return step
+
+
 def build_pair_graph(g: Graph, rule: MovementRule, r: int) -> PairGraph:
     """Pair graph of ``g`` on ordered pairs at distance >= ``r``.
 
@@ -148,28 +188,8 @@ def build_pair_graph(g: Graph, rule: MovementRule, r: int) -> PairGraph:
             if row[v] >= r:
                 allowed |= 1 << (base + v)
 
-    masks = g._masks
-    adj: dict[int, int] = {}
-    active = rule is MovementRule.ACTIVE
-    lazy = rule is MovementRule.LAZY
-    for i in _bits(allowed):
-        u, v = divmod(i, n)
-        row_v = masks[v]
-        if active:
-            m = 0
-            for u2 in _bits(masks[u]):
-                m |= row_v << (u2 * n)
-        elif lazy:
-            m = row_v << (u * n)
-            for u2 in _bits(masks[u]):
-                m |= 1 << (u2 * n + v)
-        else:
-            closed_v = row_v | (1 << v)
-            m = closed_v << (u * n)
-            for u2 in _bits(masks[u]):
-                m |= closed_v << (u2 * n)
-            m &= ~(1 << i)
-        adj[i] = m & allowed
+    step = pair_neighbors(g, rule)
+    adj = {i: step(i) & allowed for i in _bits(allowed)}
     return PairGraph(g, rule, r, allowed, adj)
 
 

@@ -10,6 +10,7 @@ per graph, the three spans, the bounds, and any violated relation.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -422,6 +423,15 @@ def _record_worker(args: tuple[str, bool, int]) -> GraphRecord:
     return check_graph(parse_graph6(g6), check_witnesses, oracle_max_n)
 
 
+def clamp_jobs(jobs: int, cpus: int, corpus_size: int) -> int:
+    """Worker count for a sweep: ``jobs`` held to ``[1, min(cpus, corpus_size)]``.
+
+    More workers than CPUs only contend, more than graphs only idle, and a
+    count below 1 means the sequential path.
+    """
+    return max(1, min(jobs, cpus, corpus_size))
+
+
 def check_theorems(
     corpus: Iterable[Graph],
     jobs: int | None = None,
@@ -429,17 +439,25 @@ def check_theorems(
     oracle_max_n: int = 5,
     n: int | None = None,
 ) -> EnumerationReport:
-    """Sweep a corpus; the merge is ordered, so output is independent of ``jobs``."""
+    """Sweep a corpus; the merge is ordered, so output is independent of ``jobs``.
+
+    ``jobs`` defaults to the CPU count and is clamped by ``clamp_jobs``; the
+    corpus is only materialised (as graph6 lines) when more than one worker
+    could run.
+    """
+    cpus = os.cpu_count() or 1
     if jobs is None:
-        import os
-
-        jobs = os.cpu_count() or 1
-    if jobs > 1:
-        import multiprocessing as mp
-
+        jobs = cpus
+    if min(jobs, cpus) > 1:
         payload = [(emit_graph6(g), check_witnesses, oracle_max_n) for g in corpus]
-        with mp.get_context("fork").Pool(jobs) as pool:
-            records = list(pool.imap(_record_worker, payload, chunksize=64))
+        workers = clamp_jobs(jobs, cpus, len(payload))
+        if workers > 1:
+            import multiprocessing as mp
+
+            with mp.get_context("fork").Pool(workers) as pool:
+                records = list(pool.imap(_record_worker, payload, chunksize=64))
+        else:
+            records = [_record_worker(args) for args in payload]
     else:
         records = [check_graph(g, check_witnesses, oracle_max_n) for g in corpus]
 

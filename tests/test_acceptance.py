@@ -30,6 +30,7 @@ from spanlab.families import (
     order5_radius2_atlas,
     paramecium_graph,
 )
+from spanlab.graph import Graph
 from spanlab.io import emit_graph6
 from spanlab.verify import (
     RULES,

@@ -18,6 +18,7 @@ from spanlab.verify import (
     RULES,
     check_graph,
     check_theorems,
+    clamp_jobs,
     cut_edge_bound,
     enumerate_connected,
     is_isomorphic,
@@ -206,3 +207,13 @@ class TestCheckTheorems:
         seq = check_theorems(corpus, jobs=1)
         par = check_theorems(corpus, jobs=2)
         assert [r.to_line() for r in seq.records] == [r.to_line() for r in par.records]
+
+
+class TestClampJobs:
+    @pytest.mark.parametrize("jobs, expected", [(0, 1), (-3, 1), (1, 1), (2, 2), (10**9, 4)])
+    def test_held_between_one_and_cpu_count(self, jobs, expected):
+        assert clamp_jobs(jobs, cpus=4, corpus_size=100) == expected
+
+    def test_corpus_size_caps_workers(self):
+        assert clamp_jobs(8, cpus=16, corpus_size=3) == 3
+        assert clamp_jobs(8, cpus=16, corpus_size=0) == 1
