@@ -43,16 +43,15 @@ from .product import (  # noqa: F401
 class SpanReport:
     """Span value under one rule, with the pair component achieving it.
 
-    ``epsilon`` is the smallest base-graph distance over the witness pairs;
-    it always equals ``value`` (a larger minimum would have qualified at a
-    higher threshold first).
+    The smallest base-graph distance over the component's pairs is
+    ``value`` itself: a larger minimum would have qualified at a higher
+    threshold first.
     """
 
     graph: Graph
     rule: MovementRule
     value: int
     witness_component: tuple[Pair, ...]
-    epsilon: int
 
 
 @dataclass(frozen=True)
@@ -114,9 +113,10 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     top = g.radius
     step = pair_neighbors(g, rule)
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
-    for u, row in enumerate(g.distances.rows()):
-        for v, d in enumerate(row):
-            buckets[min(d, top)].append(u * n + v)
+    add = [bucket.append for bucket in buckets]
+    # Pair index u * n + v is the position of d(u, v) in the flattened rows.
+    for i, d in enumerate([d for row in g.distances.rows() for d in row]):
+        add[d if d < top else top](i)
 
     # A component's cover has bit u for each first coordinate u and bit
     # n + v for each second coordinate v of its members.
@@ -154,8 +154,7 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
         if qualifying:
             winner = min(qualifying, key=lambda m: m & -m)
             component = tuple(divmod(i, n) for i in _bits(winner))
-            eps = min(g.distance(u, v) for u, v in component)
-            return SpanReport(g, rule, r, component, eps)
+            return SpanReport(g, rule, r, component)
     raise AssertionError("threshold 0 must always admit a covering component")
 
 
@@ -206,44 +205,58 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
     return TrackPair(f, g, report.rule)
 
 
-def _moved(g: Graph, a: int, b: int) -> bool:
-    return a != b and g.has_edge(a, b)
-
-
 def validate_tracks(g: Graph, t: TrackPair) -> TrackValidation:
-    """Check conformance, double surjectivity, and the minimum distance."""
-    if len(t.f) != len(t.g):
-        raise ValueError(
-            f"track lengths differ: {len(t.f)} vs {len(t.g)}"
-        )
-    if not t.f:
+    """Check conformance, double surjectivity, and the minimum distance.
+
+    A step conforms when, under
+
+    * traditional -- each actor moves along an edge or stays; a step where
+      both stay is accepted;
+    * active      -- both actors move along edges;
+    * lazy        -- each actor moves along an edge or stays, and exactly
+      one of them moves.
+
+    Malformed tracks are errors, not non-conforming ones: unequal lengths
+    and empty tracks raise ``ValueError``, and a vertex outside ``0..n-1``
+    raises ``VertexOutOfRangeError``.
+    """
+    f, b = t.f, t.g
+    if len(f) != len(b):
+        raise ValueError(f"track lengths differ: {len(f)} vs {len(b)}")
+    if not f:
         raise ValueError("tracks must be non-empty")
-    for w in t.f + t.g:
-        if not (0 <= w < g.n):
-            raise VertexOutOfRangeError(f"vertex {w} outside 0..{g.n - 1}")
+    n = g.n
+    seen_f, seen_b = set(f), set(b)
+    seen = seen_f | seen_b
+    if not (0 <= min(seen) and max(seen) < n):
+        w = next(w for w in f + b if not 0 <= w < n)
+        raise VertexOutOfRangeError(f"vertex {w} outside 0..{n - 1}")
 
-    conforms = True
-    for i in range(len(t.f) - 1):
-        fa, fb = t.f[i], t.f[i + 1]
-        ga, gb = t.g[i], t.g[i + 1]
-        f_moves = _moved(g, fa, fb)
-        g_moves = _moved(g, ga, gb)
-        if t.rule is MovementRule.TRADITIONAL:
-            ok = (f_moves or fa == fb) and (g_moves or ga == gb)
-        elif t.rule is MovementRule.ACTIVE:
-            ok = f_moves and g_moves
-        else:
-            ok = (f_moves and ga == gb) != (g_moves and fa == fb)
-        if not ok:
-            conforms = False
-            break
+    # The graph has no self-loops, so ``adj[a] >> c & 1`` is set exactly
+    # when the actor moved from a to c along an edge.
+    adj = g._masks
+    steps = zip(f, f[1:], b, b[1:])
+    if t.rule is MovementRule.TRADITIONAL:
+        conforms = all(
+            (a == c or adj[a] >> c & 1) and (x == y or adj[x] >> y & 1)
+            for a, c, x, y in steps
+        )
+    elif t.rule is MovementRule.ACTIVE:
+        conforms = all(adj[a] >> c & 1 and adj[x] >> y & 1 for a, c, x, y in steps)
+    else:
+        conforms = all(
+            (a == c or adj[a] >> c & 1)
+            and (x == y or adj[x] >> y & 1)
+            and adj[a] >> c & 1 != adj[x] >> y & 1
+            for a, c, x, y in steps
+        )
 
-    full = set(range(g.n))
+    rows = g.distances.rows()
     return TrackValidation(
         conforms=conforms,
-        surjective_f=set(t.f) == full,
-        surjective_g=set(t.g) == full,
-        min_distance=min(g.distance(u, v) for u, v in t.positions()),
+        surjective_f=len(seen_f) == n,
+        surjective_g=len(seen_b) == n,
+        min_distance=min(rows[u][v] for u, v in zip(f, b)),
     )
 
 

@@ -10,6 +10,10 @@ actors may move in one step:
 * lazy        -- exactly one actor moves along an edge (the Cartesian-product
   step).
 
+"Not both staying" describes the pair graph's step only: a product graph has
+no loops.  A walk pair under the traditional rule may still hold both actors
+in place for a step, and ``engine.validate_tracks`` accepts that step.
+
 Pair vertices are indexed ``u * n + v``.  ``pair_neighbors`` is the one
 definition of a rule's step: it maps a pair index to the bitmask of the
 pair indices one step away.  The span sweep and the witness search in

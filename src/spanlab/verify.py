@@ -19,6 +19,7 @@ from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .engine import (
+    TrackValidation,
     compute_span,
     direct_to_lazy,
     extract_witness_tracks,
@@ -26,7 +27,7 @@ from .engine import (
     validate_tracks,
 )
 from .errors import OrderTooSmallError, TooLargeError
-from .graph import Graph, bridges, eccentricity, split_at_bridge
+from .graph import Graph, _bfs_row, bridges
 from .io import emit_graph6, parse_graph6
 from .product import MovementRule
 
@@ -253,17 +254,20 @@ def cut_edge_bound(g: Graph) -> int | None:
 
     For a bridge xy the span cannot exceed the larger of the two endpoint
     eccentricities measured inside their own sides; the minimum over all
-    bridges is returned, or None for a bridgeless graph.
+    bridges is returned, or None for a bridgeless graph.  With the bridge
+    removed, a breadth-first search from an endpoint reaches exactly its
+    side, so its deepest level is that eccentricity and no side graph is
+    built.
     """
-    if g.n < 3:
-        raise OrderTooSmallError(f"cut-edge bound needs at least 3 vertices, got {g.n}")
+    n = g.n
+    if n < 3:
+        raise OrderTooSmallError(f"cut-edge bound needs at least 3 vertices, got {n}")
     best: int | None = None
-    for edge in bridges(g):
-        split = split_at_bridge(g, edge)
-        bound = max(
-            eccentricity(split.side_x, split.x),
-            eccentricity(split.side_y, split.y),
-        )
+    for x, y in bridges(g):
+        masks = list(g._masks)
+        masks[x] ^= 1 << y
+        masks[y] ^= 1 << x
+        bound = max(max(_bfs_row(masks, n, x)[0]), max(_bfs_row(masks, n, y)[0]))
         if best is None or bound < best:
             best = bound
     return best
@@ -376,33 +380,15 @@ def check_graph(
     if check_witnesses:
         for rule, report in reports.items():
             tracks = extract_witness_tracks(report)
-            val = validate_tracks(g, tracks)
-            if not (
-                val.conforms
-                and val.surjective_f
-                and val.surjective_g
-                and val.min_distance == report.value
-            ):
+            if not _witness_holds(validate_tracks(g, tracks), report.value, exact=True):
                 violations.append(f"witness_roundtrip_{rule.value}")
             if rule is MovementRule.ACTIVE:
                 lazier = direct_to_lazy(g, tracks)
-                lval = validate_tracks(g, lazier)
-                if not (
-                    lval.conforms
-                    and lval.surjective_f
-                    and lval.surjective_g
-                    and lval.min_distance >= report.value - 1
-                ):
+                if not _witness_holds(validate_tracks(g, lazier), report.value - 1):
                     violations.append("transform_direct_to_lazy")
             elif rule is MovementRule.LAZY:
                 activer = lazy_to_direct(g, tracks)
-                aval = validate_tracks(g, activer)
-                if not (
-                    aval.conforms
-                    and aval.surjective_f
-                    and aval.surjective_g
-                    and aval.min_distance >= report.value - 1
-                ):
+                if not _witness_holds(validate_tracks(g, activer), report.value - 1):
                     violations.append("transform_lazy_to_direct")
 
     return GraphRecord(
@@ -415,6 +401,18 @@ def check_graph(
         cut_bound=cut,
         oracle_checked=oracle_checked,
         violations=tuple(violations),
+    )
+
+
+def _witness_holds(val: TrackValidation, floor: int, exact: bool = False) -> bool:
+    """The walks conform, both cover every vertex, and their minimum
+    distance is at least ``floor`` (exactly ``floor`` when ``exact``)."""
+    d = val.min_distance
+    return (
+        val.conforms
+        and val.surjective_f
+        and val.surjective_g
+        and (d == floor if exact else d >= floor)
     )
 
 

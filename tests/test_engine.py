@@ -126,7 +126,6 @@ class TestComputeSpan:
         for rule in (T, A, L):
             report = compute_span(g, rule)
             assert 0 <= report.value <= g.radius
-            assert report.epsilon == report.value
             assert min(g.distance(u, v) for u, v in report.witness_component) == report.value
 
     @given(connected_graphs(max_n=7))

@@ -39,9 +39,7 @@ def reference_span(g, rule: MovementRule) -> SpanReport:
     for r in range(g.radius, -1, -1):
         qualifying = components_with_double_surjectivity(build_pair_graph(g, rule, r))
         if qualifying:
-            component = qualifying[0]
-            eps = min(g.distance(u, v) for u, v in component)
-            return SpanReport(g, rule, r, component, eps)
+            return SpanReport(g, rule, r, qualifying[0])
     raise AssertionError("threshold 0 must always admit a covering component")
 
 
