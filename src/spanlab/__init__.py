@@ -41,18 +41,7 @@ from .errors import (
     UnknownGraphIdError,
     VertexOutOfRangeError,
 )
-from .graph import (
-    BridgeSplit,
-    DistanceMatrix,
-    Graph,
-    all_pairs_distances,
-    bridges,
-    build_graph,
-    diameter,
-    eccentricity,
-    radius,
-    split_at_bridge,
-)
+from .graph import BridgeSplit, Graph, bridges, eccentricity, split_at_bridge
 from .io import (
     emit_edge_list,
     emit_graph6,
@@ -79,69 +68,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BadCharError",
-    "BridgeSplit",
-    "DisconnectedError",
-    "DistanceMatrix",
-    "DuplicateEdgeError",
-    "EdgeListSyntaxError",
-    "EmptyGraphError",
-    "EnumerationReport",
-    "FamilySpec",
-    "Graph",
-    "GraphRecord",
-    "InvalidTracksError",
-    "LengthMismatchError",
-    "MoveAttribution",
-    "MovementRule",
-    "NotABridgeError",
-    "NotActiveConformantError",
-    "NotLazyConformantError",
-    "OrderTooSmallError",
-    "PairGraph",
-    "ParameterOutOfRangeError",
-    "SelfLoopError",
-    "SpanReport",
-    "SpanlabError",
-    "ThresholdTooLargeError",
-    "TooLargeError",
-    "TrackPair",
-    "TrackValidation",
-    "UnknownGraphIdError",
-    "VertexOutOfRangeError",
-    "all_pairs_distances",
-    "bridges",
-    "build_graph",
-    "build_pair_graph",
-    "check_graph",
-    "check_theorems",
-    "components_with_double_surjectivity",
-    "compute_span",
-    "cut_edge_bound",
-    "diameter",
-    "direct_to_lazy",
-    "eccentricity",
-    "emit_edge_list",
-    "emit_graph6",
-    "emit_witness_dot",
-    "enumerate_connected",
-    "expected_spans",
-    "extract_witness_tracks",
-    "families",
-    "generate",
-    "io",
-    "is_isomorphic",
-    "lazy_to_direct",
-    "move_attribution",
-    "named_graph",
-    "oracle_span",
-    "parse_edge_list",
-    "parse_graph6",
-    "radius",
-    "random_graphs",
-    "split_at_bridge",
-    "validate_tracks",
-    "verify",
-]

@@ -69,25 +69,18 @@ def _read_graph(path: str, fmt: str) -> Graph:
         raise _Exit(2, f"{path}: {exc}") from exc
 
 
-_RULES = {
-    "strong": MovementRule.TRADITIONAL,
-    "direct": MovementRule.ACTIVE,
-    "cartesian": MovementRule.LAZY,
-}
-
-
 def _cmd_span(args: argparse.Namespace) -> int:
     g = _read_graph(args.file, args.format)
-    names = list(_RULES) if args.rule == "all" else [args.rule]
+    rules = verify.RULES if args.rule == "all" else (MovementRule.from_name(args.rule),)
     parts = [f"rad={g.radius}"]
-    parts += [f"{name}={compute_span(g, _RULES[name]).value}" for name in names]
+    parts += [f"{rule.span_name}={compute_span(g, rule).value}" for rule in rules]
     print(" ".join(parts))
     return 0
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     g = _read_graph(args.file, args.format)
-    report = compute_span(g, _RULES[args.rule])
+    report = compute_span(g, MovementRule.from_name(args.rule))
     tracks = extract_witness_tracks(report)
     widths = [4, 5, 5, 8]
     print(
@@ -163,8 +156,10 @@ def _cmd_verify_enumerate(args: argparse.Namespace) -> int:
         corpus = list(verify.enumerate_connected(args.n, dedup=args.dedup))
     except TooLargeError as exc:
         raise _Exit(4, str(exc)) from exc
+    except ValueError as exc:
+        raise _Exit(2, str(exc)) from exc
     report = verify.check_theorems(
-        corpus, jobs=args.jobs, check_witnesses=args.witnesses, n=args.n
+        corpus, jobs=args.jobs, check_witnesses=args.witnesses
     )
     return _finish_verify(report, args)
 
@@ -177,11 +172,14 @@ def _cmd_verify_random(args: argparse.Namespace) -> int:
             seed = int(env)
         except ValueError:
             raise _Exit(2, f"SPANLAB_SEED must be an integer, got {env!r}") from None
-    corpus = verify.random_graphs(
-        args.count, (args.n_min, args.n_max), args.p, seed
-    )
+    try:
+        corpus = list(
+            verify.random_graphs(args.count, (args.n_min, args.n_max), args.p, seed)
+        )
+    except ValueError as exc:
+        raise _Exit(2, str(exc)) from exc
     report = verify.check_theorems(
-        list(corpus), jobs=args.jobs, check_witnesses=args.witnesses
+        corpus, jobs=args.jobs, check_witnesses=args.witnesses
     )
     return _finish_verify(report, args)
 
@@ -280,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("span", help="compute span values of a graph file")
     add_input(p)
     p.add_argument("--rule", choices=("all", "strong", "direct", "cartesian"), default="all")
-    p.add_argument("--machine", action="store_true", help="key=value output (already the default shape)")
     p.set_defaults(func=_cmd_span)
 
     p = sub.add_parser("witness", help="emit witness walks as DOT (stdout) and a step table (stderr)")

@@ -115,7 +115,7 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
     add = [bucket.append for bucket in buckets]
     # Pair index u * n + v is the position of d(u, v) in the flattened rows.
-    for i, d in enumerate([d for row in g.distances.rows() for d in row]):
+    for i, d in enumerate([d for row in g.distances for d in row]):
         add[d if d < top else top](i)
 
     # A component's cover has bit u for each first coordinate u and bit
@@ -251,7 +251,7 @@ def validate_tracks(g: Graph, t: TrackPair) -> TrackValidation:
             for a, c, x, y in steps
         )
 
-    rows = g.distances.rows()
+    rows = g.distances
     return TrackValidation(
         conforms=conforms,
         surjective_f=len(seen_f) == n,

@@ -14,19 +14,6 @@ from itertools import combinations
 from .errors import ParameterOutOfRangeError, UnknownGraphIdError
 from .graph import Graph
 
-FAMILY_KINDS = (
-    "path",
-    "cycle",
-    "hypercube",
-    "complete_bipartite",
-    "complete",
-    "star",
-    "wheel",
-    "paramecium",
-    "binary_tree",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """One family instance: ``kind`` plus its parameter(s).

@@ -2,9 +2,10 @@
 
 Vertices are dense integers ``0..n-1``; optional external names live in a
 side table (``labels``).  All-pairs hop distances are computed eagerly at
-construction and cached, so every later query is a table lookup.  Graph and
-DistanceMatrix are immutable after construction and safe to share across
-threads; every function in this module is pure.
+construction and kept as a tuple of row tuples (``Graph.distances``, read as
+``d[u][v]``), so every later query is a table lookup.  A Graph is immutable
+after construction and safe to share across threads; every function in this
+module is pure.
 """
 
 from __future__ import annotations
@@ -30,35 +31,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-class DistanceMatrix:
-    """Symmetric n x n table of exact hop distances."""
-
-    __slots__ = ("n", "_rows")
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        self.n = len(rows)
-        self._rows = tuple(tuple(row) for row in rows)
-
-    def __getitem__(self, uv: tuple[int, int]) -> int:
-        u, v = uv
-        return self._rows[u][v]
-
-    def row(self, u: int) -> tuple[int, ...]:
-        return self._rows[u]
-
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DistanceMatrix) and self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __repr__(self) -> str:
-        return f"DistanceMatrix(n={self.n})"
 
 
 class Graph:
@@ -108,31 +80,31 @@ class Graph:
             if len(labels) != n:
                 raise ValueError(f"got {len(labels)} labels for {n} vertices")
 
-        self.n = n
-        self.labels = labels
-        self._masks = tuple(masks)
-        self._adj = tuple(tuple(_bits(m)) for m in masks)
-        self._edges = tuple(sorted(seen))
-
+        # The breadth-first searches run before anything else is built, so a
+        # disconnected edge set costs one search; this is the package's only
+        # connectivity check.
         full = (1 << n) - 1
         rows = []
         for s in range(n):
-            row, reached = _bfs_row(self._masks, n, s)
+            row, reached = _bfs_row(masks, n, s)
             if reached != full:
                 missing = next(_bits(full & ~reached))
                 raise DisconnectedError(
                     f"vertex {missing} unreachable from vertex {s}"
                 )
-            rows.append(row)
-        self._dist = DistanceMatrix(rows)
+            rows.append(tuple(row))
+
+        self.n = n
+        self.labels = labels
+        self._masks = tuple(masks)
+        self._adj = tuple(tuple(_bits(m)) for m in masks)
+        self._edges = tuple(sorted(seen))
+        self._dist = tuple(rows)
         self._ecc = tuple(max(row) for row in rows)
         self._radius = min(self._ecc)
         self._diameter = max(self._ecc)
 
     # -- basic accessors -------------------------------------------------
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edges(self) -> tuple[Edge, ...]:
         """All edges as (u, v) with u < v, sorted."""
@@ -145,11 +117,6 @@ class Graph:
     def neighbors(self, u: int) -> tuple[int, ...]:
         self._check_vertex(u)
         return self._adj[u]
-
-    def neighbor_mask(self, u: int) -> int:
-        """Neighbourhood of ``u`` as a bitmask (bit v set iff uv is an edge)."""
-        self._check_vertex(u)
-        return self._masks[u]
 
     def degree(self, u: int) -> int:
         return len(self.neighbors(u))
@@ -166,11 +133,12 @@ class Graph:
     # -- metric accessors ------------------------------------------------
 
     @property
-    def distances(self) -> DistanceMatrix:
+    def distances(self) -> tuple[tuple[int, ...], ...]:
+        """Exact hop distances: row ``u`` holds ``d(u, v)`` at index ``v``."""
         return self._dist
 
     def distance(self, u: int, v: int) -> int:
-        return self._dist[u, v]
+        return self._dist[u][v]
 
     @property
     def radius(self) -> int:
@@ -220,30 +188,10 @@ def _bfs_row(masks: Sequence[int], n: int, source: int) -> tuple[list[int], int]
     return row, reached
 
 
-def build_graph(n: int, edges: Iterable[Edge], labels: Optional[Sequence[str]] = None) -> Graph:
-    """Validate and build a Graph (plain alias for the constructor)."""
-    return Graph(n, edges, labels)
-
-
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Exact hop distances between every ordered vertex pair."""
-    return g.distances
-
-
 def eccentricity(g: Graph, u: int) -> int:
     """Largest distance from ``u`` to any vertex."""
     g._check_vertex(u)
     return g._ecc[u]
-
-
-def radius(g: Graph) -> int:
-    """Smallest eccentricity over all vertices."""
-    return g._radius
-
-
-def diameter(g: Graph) -> int:
-    """Largest eccentricity over all vertices."""
-    return g._diameter
 
 
 def bridges(g: Graph) -> list[Edge]:

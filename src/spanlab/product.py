@@ -172,7 +172,7 @@ def pair_neighbors(g: Graph, rule: MovementRule) -> Callable[[int], int]:
 def build_pair_graph(g: Graph, rule: MovementRule, r: int) -> PairGraph:
     """Pair graph of ``g`` on ordered pairs at distance >= ``r``.
 
-    ``r`` must lie in ``0..radius(g)``; beyond the radius no pair survives
+    ``r`` must lie in ``0..g.radius``; beyond the radius no pair survives
     (no vertex has everything at distance radius+1), which is rejected as a
     distinct error so span searches know to stop.
     """
@@ -183,10 +183,8 @@ def build_pair_graph(g: Graph, rule: MovementRule, r: int) -> PairGraph:
             f"threshold {r} exceeds radius {g.radius}: empty pair graph"
         )
     n = g.n
-    dist = g.distances
     allowed = 0
-    for u in range(n):
-        row = dist.row(u)
+    for u, row in enumerate(g.distances):
         base = u * n
         for v in range(n):
             if row[v] >= r:

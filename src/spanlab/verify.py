@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .engine import (
     TrackValidation,
@@ -26,7 +26,7 @@ from .engine import (
     lazy_to_direct,
     validate_tracks,
 )
-from .errors import OrderTooSmallError, TooLargeError
+from .errors import DisconnectedError, OrderTooSmallError, TooLargeError
 from .graph import Graph, _bfs_row, bridges
 from .io import emit_graph6, parse_graph6
 from .product import MovementRule
@@ -64,7 +64,7 @@ def _coverable(g: Graph, r: int, rule: MovementRule) -> bool:
     n = g.n
     dist = g.distances
     pairs = [
-        (u, v) for u in range(n) for v in range(n) if dist[u, v] >= r
+        (u, v) for u in range(n) for v in range(n) if dist[u][v] >= r
     ]
     index = {p: k for k, p in enumerate(pairs)}
     full = (1 << n) - 1
@@ -152,22 +152,6 @@ def _remap(mask: int, slot_map: tuple[int, ...]) -> int:
     return out
 
 
-def _connected_mask(n: int, nbr: Sequence[int]) -> bool:
-    reached = 1
-    frontier = 1
-    full = (1 << n) - 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= nbr[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~reached
-        reached |= frontier
-    return reached == full
-
-
 def canonical_edge_mask(g: Graph) -> int:
     """Smallest edge bitmask over all vertex relabelings (n <= 7)."""
     if g.n > ENUMERATE_MAX_N:
@@ -200,20 +184,15 @@ def enumerate_connected(n: int, dedup: bool = False) -> Iterator[Graph]:
     slots = _slots(n)
     perm_maps = _perm_slot_maps(n) if dedup else ()
     for mask in range(1 << len(slots)):
-        nbr = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            u, v = slots[low.bit_length() - 1]
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-            m ^= low
-        if not _connected_mask(n, nbr):
-            continue
+        # Connectivity is invariant under relabelling, so testing the class
+        # minimum first keeps exactly the connected class representatives.
         if dedup and any(_remap(mask, sm) < mask for sm in perm_maps):
             continue
-        edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
-        yield Graph(n, edges)
+        try:
+            g = Graph(n, [slots[i] for i in range(len(slots)) if mask >> i & 1])
+        except DisconnectedError:
+            continue
+        yield g
 
 
 # -- random corpus -----------------------------------------------------------------
@@ -225,25 +204,32 @@ def random_graphs(
     edge_prob: float,
     seed: int,
 ) -> Iterator[Graph]:
-    """Seeded Erdos-Renyi stream, each draw resampled until connected."""
+    """Seeded Erdos-Renyi stream, each draw resampled until connected.
+
+    ``edge_prob`` must lie in ``(0, 1]``: with no edge possible, a draw of
+    two or more vertices would be resampled forever.
+    """
     lo, hi = n_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad vertex range {n_range}")
+    if not 0 < edge_prob <= 1:
+        raise ValueError(f"edge probability must lie in (0, 1], got {edge_prob}")
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(lo, hi)
         while True:
-            nbr = [0] * n
-            edges = []
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if rng.random() < edge_prob:
-                        edges.append((u, v))
-                        nbr[u] |= 1 << v
-                        nbr[v] |= 1 << u
-            if _connected_mask(n, nbr):
-                yield Graph(n, edges)
-                break
+            edges = [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < edge_prob
+            ]
+            try:
+                g = Graph(n, edges)
+            except DisconnectedError:
+                continue
+            yield g
+            break
 
 
 # -- bounds ------------------------------------------------------------------------
@@ -318,7 +304,6 @@ class EnumerationReport:
     """Aggregate of a corpus sweep; counterexamples stay empty when the
     theorems hold."""
 
-    n: int | None
     graphs_checked: int
     counterexamples: list[tuple[str, str]]
     records: list[GraphRecord]
@@ -361,15 +346,10 @@ def check_graph(
         violations.append("span_le_radius")
 
     oracle_checked = g.n <= oracle_max_n
-    if oracle_checked:
-        for rule, value in (
-            (MovementRule.TRADITIONAL, strong),
-            (MovementRule.ACTIVE, direct),
-            (MovementRule.LAZY, cartesian),
-        ):
-            if oracle_span(g, rule) != value:
-                violations.append("oracle_agreement")
-                break
+    if oracle_checked and any(
+        oracle_span(g, rule) != report.value for rule, report in reports.items()
+    ):
+        violations.append("oracle_agreement")
 
     cut = None
     if g.n >= 3:
@@ -435,7 +415,6 @@ def check_theorems(
     jobs: int | None = None,
     check_witnesses: bool = False,
     oracle_max_n: int = 5,
-    n: int | None = None,
 ) -> EnumerationReport:
     """Sweep a corpus; the merge is ordered, so output is independent of ``jobs``.
 
@@ -463,7 +442,6 @@ def check_theorems(
         (r.graph6, prop) for r in records for prop in r.violations
     ]
     return EnumerationReport(
-        n=n,
         graphs_checked=len(records),
         counterexamples=counterexamples,
         records=records,

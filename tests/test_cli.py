@@ -172,6 +172,31 @@ class TestVerifyCommands:
         )
         assert "graphs checked: 20" in capsys.readouterr().out
 
+    def test_enumerate_order_zero_exits_2(self, capsys):
+        assert main(["verify-enumerate", "--n", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spanlab: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n_range", [("0", "6"), ("8", "6")])
+    def test_random_bad_vertex_range_exits_2(self, n_range, capsys):
+        n_min, n_max = n_range
+        assert main(["verify-random", "--n-min", n_min, "--n-max", n_max]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spanlab: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["0", "-0.5", "nan"])
+    def test_random_edge_probability_outside_unit_interval_exits_2(self, p):
+        # A subprocess with a timeout, so a draw that resamples forever
+        # fails the test instead of hanging the suite.
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", "verify-random", "--count", "3", "--p", p],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+
     def test_random_seed_env_override(self, tmp_path, capsys, monkeypatch):
         rec_a = tmp_path / "a.txt"
         rec_b = tmp_path / "b.txt"

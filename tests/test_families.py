@@ -20,7 +20,6 @@ from spanlab.families import (
     star_graph,
     wheel_graph,
 )
-from spanlab.graph import radius
 from spanlab.product import MovementRule
 from spanlab.verify import RULES, is_isomorphic
 
@@ -37,7 +36,7 @@ class TestGenerate:
 
     def test_binary_tree_2(self):
         g = binary_tree_graph(2)
-        assert g.n == 7 and radius(g) == 2
+        assert g.n == 7 and g.radius == 2
 
     def test_binary_tree_level_order(self):
         g = binary_tree_graph(3)
@@ -46,11 +45,11 @@ class TestGenerate:
 
     def test_hypercube_3(self):
         g = hypercube_graph(3)
-        assert g.n == 8 and g.edge_count == 12 and radius(g) == 3
+        assert g.n == 8 and g.edge_count == 12 and g.radius == 3
 
     def test_wheel_and_star_have_radius_1(self):
-        assert radius(wheel_graph(6)) == 1
-        assert radius(star_graph(6)) == 1
+        assert wheel_graph(6).radius == 1
+        assert star_graph(6).radius == 1
 
     def test_generate_dispatch(self):
         assert generate(FamilySpec("cycle", 5)) == cycle_graph(5)
@@ -128,11 +127,11 @@ class TestExpectedSpans:
 class TestRadiusFormulas:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_paramecium_radius(self, n):
-        assert radius(paramecium_graph(n)) == n // 2 + 1
+        assert paramecium_graph(n).radius == n // 2 + 1
 
     @pytest.mark.parametrize("h", range(1, 5))
     def test_binary_tree_radius(self, h):
-        assert radius(binary_tree_graph(h)) == h
+        assert binary_tree_graph(h).radius == h
 
 
 class TestNamedGraphs:
@@ -149,13 +148,13 @@ class TestNamedGraphs:
         assert g.label(0) == "u1" and g.label(5) == "u6"
 
     def test_fig6_radii(self):
-        assert radius(named_graph("fig6_left")) == 2
-        assert radius(named_graph("fig6_right")) == 3
+        assert named_graph("fig6_left").radius == 2
+        assert named_graph("fig6_right").radius == 3
 
     @pytest.mark.parametrize("gid", [g for g in NAMED_GRAPH_IDS if g.startswith("fig7")])
     def test_fig7_graphs_have_order_5_radius_2(self, gid):
         g = named_graph(gid)
-        assert g.n == 5 and radius(g) == 2
+        assert g.n == 5 and g.radius == 2
 
     def test_fig7_graphs_pairwise_non_isomorphic(self):
         graphs = [named_graph(g) for g in NAMED_GRAPH_IDS if g.startswith("fig7")]

@@ -18,16 +18,7 @@ from spanlab.families import (
     paramecium_graph,
     path_graph,
 )
-from spanlab.graph import (
-    Graph,
-    all_pairs_distances,
-    bridges,
-    build_graph,
-    diameter,
-    eccentricity,
-    radius,
-    split_at_bridge,
-)
+from spanlab.graph import Graph, bridges, eccentricity, split_at_bridge
 
 from conftest import bridges_by_removal, connected_graphs, floyd_warshall
 
@@ -36,38 +27,38 @@ FIG1_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 3), (2, 5)]
 
 class TestBuildGraph:
     def test_single_vertex_is_connected(self):
-        g = build_graph(1, [])
+        g = Graph(1, [])
         assert g.n == 1 and g.edges() == ()
 
     def test_fig1_graph_builds(self):
-        g = build_graph(6, FIG1_EDGES)
+        g = Graph(6, FIG1_EDGES)
         assert g.edge_count == 8
 
     def test_two_components_rejected(self):
         with pytest.raises(DisconnectedError):
-            build_graph(4, [(0, 1), (2, 3)])
+            Graph(4, [(0, 1), (2, 3)])
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraphError):
-            build_graph(0, [])
+            Graph(0, [])
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
-            build_graph(2, [(0, 1), (1, 1)])
+            Graph(2, [(0, 1), (1, 1)])
 
     @pytest.mark.parametrize("dup", [[(0, 1), (0, 1), (1, 2)], [(0, 1), (1, 0), (1, 2)]])
     def test_duplicate_edge_rejected_not_deduped(self, dup):
         with pytest.raises(DuplicateEdgeError):
-            build_graph(3, dup)
+            Graph(3, dup)
 
     def test_out_of_range_vertex_rejected(self):
         with pytest.raises(VertexOutOfRangeError):
-            build_graph(2, [(0, 2)])
+            Graph(2, [(0, 2)])
 
     def test_labels_side_table(self):
-        g = build_graph(2, [(0, 1)], labels=["a", "b"])
+        g = Graph(2, [(0, 1)], labels=["a", "b"])
         assert g.label(0) == "a" and g.label(1) == "b"
-        assert build_graph(2, [(0, 1)]).label(1) == "1"
+        assert Graph(2, [(0, 1)]).label(1) == "1"
 
 
 class TestDistances:
@@ -75,7 +66,7 @@ class TestDistances:
         assert path_graph(4).distance(0, 3) == 3
 
     def test_fig1_u1_u4(self):
-        assert build_graph(6, FIG1_EDGES).distance(0, 3) == 2
+        assert Graph(6, FIG1_EDGES).distance(0, 3) == 2
 
     def test_cycle_antipodes(self):
         g = cycle_graph(6)
@@ -83,20 +74,18 @@ class TestDistances:
 
     @given(connected_graphs(max_n=8))
     def test_matches_floyd_warshall(self, g):
-        want = floyd_warshall(g)
-        got = all_pairs_distances(g)
-        assert [list(got.row(u)) for u in range(g.n)] == want
+        assert [list(row) for row in g.distances] == floyd_warshall(g)
 
     @given(connected_graphs(max_n=8))
     def test_matrix_invariants(self, g):
         d = g.distances
         for u in range(g.n):
-            assert d[u, u] == 0
+            assert d[u][u] == 0
             for v in range(g.n):
-                assert d[u, v] == d[v, u]
-                assert (d[u, v] == 1) == g.has_edge(u, v)
+                assert d[u][v] == d[v][u]
+                assert (d[u][v] == 1) == g.has_edge(u, v)
                 for w in range(g.n):
-                    assert d[u, w] <= d[u, v] + d[v, w]
+                    assert d[u][w] <= d[u][v] + d[v][w]
 
 
 class TestEccentricityRadiusDiameter:
@@ -107,7 +96,7 @@ class TestEccentricityRadiusDiameter:
         # Radius floor(5/2)+1 = 3 sits on the cycle vertices; a leaf sees
         # the opposite leaves at distance 4.
         g = paramecium_graph(5)
-        assert radius(g) == 3
+        assert g.radius == 3
         assert eccentricity(g, 0) == 3
         assert eccentricity(g, 5) == 4
 
@@ -116,15 +105,15 @@ class TestEccentricityRadiusDiameter:
         assert all(eccentricity(g, v) == 1 for v in range(4))
 
     def test_cycle_radius(self):
-        assert radius(cycle_graph(7)) == 3
+        assert cycle_graph(7).radius == 3
 
     def test_k1_radius(self):
-        assert radius(Graph(1, [])) == 0
+        assert Graph(1, []).radius == 0
 
     @given(connected_graphs(max_n=8))
     def test_radius_ecc_diameter_chain(self, g):
         for u in range(g.n):
-            assert radius(g) <= eccentricity(g, u) <= diameter(g) <= 2 * radius(g)
+            assert g.radius <= eccentricity(g, u) <= g.diameter <= 2 * g.radius
 
 
 class TestBridges:

@@ -14,7 +14,7 @@ from spanlab.errors import (
     LengthMismatchError,
 )
 from spanlab.families import cycle_graph, named_graph
-from spanlab.graph import Graph, radius
+from spanlab.graph import Graph
 from spanlab.io import (
     emit_edge_list,
     emit_graph6,
@@ -49,7 +49,7 @@ class TestEdgeList:
     def test_fig1_with_comments(self):
         g = parse_edge_list(FIG1_TEXT)
         assert g.n == 6 and g.edge_count == 8
-        assert radius(g) == 2
+        assert g.radius == 2
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):

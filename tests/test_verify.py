@@ -16,6 +16,7 @@ from spanlab.graph import Graph
 from spanlab.io import emit_graph6
 from spanlab.verify import (
     RULES,
+    canonical_edge_mask,
     check_graph,
     check_theorems,
     clamp_jobs,
@@ -99,6 +100,25 @@ class TestEnumerate:
         for g in classes:
             matches = [name for name, ag, _ in atlas if is_isomorphic(g, ag)]
             assert len(matches) == 1
+
+    def test_dedup_classes_match_networkx_atlas(self):
+        # networkx bundles every graph on up to 7 vertices (the Atlas of
+        # Graphs), one per isomorphism class; it is a test-only oracle.
+        import networkx as nx
+
+        atlas: dict[int, list[int]] = {n: [] for n in range(1, 7)}
+        for a in nx.graph_atlas_g():
+            n = a.number_of_nodes()
+            if 1 <= n <= 6 and nx.is_connected(a):
+                atlas[n].append(canonical_edge_mask(Graph(n, a.edges())))
+        counts = []
+        for n in range(1, 7):
+            classes = [canonical_edge_mask(g) for g in enumerate_connected(n, dedup=True)]
+            for mask in classes:
+                assert atlas[n].count(mask) == 1
+            assert len(set(classes)) == len(classes) == len(atlas[n])
+            counts.append(len(classes))
+        assert counts == [1, 1, 2, 6, 21, 112]
 
     def test_labeled_n7_streams_lazily(self):
         first = list(itertools.islice(enumerate_connected(7), 3))
