@@ -88,10 +88,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         f" {'distance':>{widths[3]}}",
         file=sys.stderr,
     )
+    rows = g.distances
     for i, (u, v) in enumerate(tracks.positions(), start=1):
         print(
             f"{i:>{widths[0]}} {g.label(u):>{widths[1]}} {g.label(v):>{widths[2]}}"
-            f" {g.distance(u, v):>{widths[3]}}",
+            f" {rows[u][v]:>{widths[3]}}",
             file=sys.stderr,
         )
     sys.stdout.write(io.emit_witness_dot(g, tracks))

@@ -138,6 +138,8 @@ class Graph:
         return self._dist
 
     def distance(self, u: int, v: int) -> int:
+        self._check_vertex(u)
+        self._check_vertex(v)
         return self._dist[u][v]
 
     @property

@@ -34,6 +34,8 @@ from .product import MovementRule
 ORACLE_MAX_N = 6
 ENUMERATE_MAX_N = 7
 DEDUP_MAX_N = 6
+# Draws per random graph before ``random_graphs`` gives up on a connected one.
+RANDOM_MAX_ATTEMPTS = 10_000
 
 
 # -- joint-state oracle ---------------------------------------------------------
@@ -206,10 +208,15 @@ def random_graphs(
 ) -> Iterator[Graph]:
     """Seeded Erdos-Renyi stream, each draw resampled until connected.
 
-    ``edge_prob`` must lie in ``(0, 1]``: with no edge possible, a draw of
-    two or more vertices would be resampled forever.
+    ``count`` must be non-negative and ``edge_prob`` must lie in ``(0, 1]``:
+    with no edge possible, a draw of two or more vertices would be
+    resampled forever.  A positive but tiny ``edge_prob`` can make a
+    connected draw just as unlikely, so each graph gets at most
+    ``RANDOM_MAX_ATTEMPTS`` draws and ``ValueError`` is raised after that.
     """
     lo, hi = n_range
+    if count < 0:
+        raise ValueError(f"graph count must be non-negative, got {count}")
     if lo < 1 or hi < lo:
         raise ValueError(f"bad vertex range {n_range}")
     if not 0 < edge_prob <= 1:
@@ -217,7 +224,7 @@ def random_graphs(
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(lo, hi)
-        while True:
+        for _ in range(RANDOM_MAX_ATTEMPTS):
             edges = [
                 (u, v)
                 for u in range(n)
@@ -230,6 +237,11 @@ def random_graphs(
                 continue
             yield g
             break
+        else:
+            raise ValueError(
+                f"no connected graph of order {n} in {RANDOM_MAX_ATTEMPTS} draws"
+                f" at edge probability {edge_prob}"
+            )
 
 
 # -- bounds ------------------------------------------------------------------------

@@ -71,7 +71,126 @@ class TestSpan:
         assert capsys.readouterr().err
 
 
+# The walks of ``spanlab witness`` on fig1, pinned so that any change to
+# the witness walk shows up as a diff: the step table (stderr), then the
+# moves of the DOT text (stdout), which follow FIG1_DOT_HEAD.
+FIG1_DOT_HEAD = """digraph witness {
+  0;
+  1;
+  2;
+  3;
+  4;
+  5;
+  0 -> 1 [dir=none];
+  0 -> 5 [dir=none];
+  1 -> 2 [dir=none];
+  1 -> 3 [dir=none];
+  2 -> 3 [dir=none];
+  2 -> 5 [dir=none];
+  3 -> 4 [dir=none];
+  4 -> 5 [dir=none];
+"""
+
+FIG1_WITNESS = {
+    "strong": (
+        """step alice   bob distance
+   1     0     2        2
+   2     0     3        2
+   3     0     4        2
+   4     1     4        2
+   5     1     5        2
+   6     2     0        2
+   7     3     0        2
+   8     4     0        2
+   9     4     1        2
+  10     5     1        2
+""",
+        """  0 -> 1 [color=red, label="f3"];
+  1 -> 2 [color=red, label="f5"];
+  2 -> 3 [color=red, label="f6"];
+  3 -> 4 [color=red, label="f7"];
+  4 -> 5 [color=red, label="f9"];
+  2 -> 3 [color=blue, label="g1"];
+  3 -> 4 [color=blue, label="g2"];
+  4 -> 5 [color=blue, label="g4"];
+  5 -> 0 [color=blue, label="g5"];
+  0 -> 1 [color=blue, label="g8"];
+}
+""",
+    ),
+    "direct": (
+        """step alice   bob distance
+   1     0     2        2
+   2     1     5        2
+   3     0     4        2
+   4     5     3        2
+   5     2     4        2
+   6     3     5        2
+   7     2     0        2
+   8     5     1        2
+   9     4     0        2
+""",
+        """  0 -> 1 [color=red, label="f1"];
+  1 -> 0 [color=red, label="f2"];
+  0 -> 5 [color=red, label="f3"];
+  5 -> 2 [color=red, label="f4"];
+  2 -> 3 [color=red, label="f5"];
+  3 -> 2 [color=red, label="f6"];
+  2 -> 5 [color=red, label="f7"];
+  5 -> 4 [color=red, label="f8"];
+  2 -> 5 [color=blue, label="g1"];
+  5 -> 4 [color=blue, label="g2"];
+  4 -> 3 [color=blue, label="g3"];
+  3 -> 4 [color=blue, label="g4"];
+  4 -> 5 [color=blue, label="g5"];
+  5 -> 0 [color=blue, label="g6"];
+  0 -> 1 [color=blue, label="g7"];
+  1 -> 0 [color=blue, label="g8"];
+}
+""",
+    ),
+    "cartesian": (
+        """step alice   bob distance
+   1     0     2        2
+   2     0     3        2
+   3     0     4        2
+   4     1     4        2
+   5     1     5        2
+   6     3     5        2
+   7     3     0        2
+   8     2     0        2
+   9     3     0        2
+  10     4     0        2
+  11     4     1        2
+  12     5     1        2
+""",
+        """  0 -> 1 [color=red, label="f3"];
+  1 -> 3 [color=red, label="f5"];
+  3 -> 2 [color=red, label="f7"];
+  2 -> 3 [color=red, label="f8"];
+  3 -> 4 [color=red, label="f9"];
+  4 -> 5 [color=red, label="f11"];
+  2 -> 3 [color=blue, label="g1"];
+  3 -> 4 [color=blue, label="g2"];
+  4 -> 5 [color=blue, label="g4"];
+  5 -> 0 [color=blue, label="g6"];
+  0 -> 1 [color=blue, label="g10"];
+}
+""",
+    ),
+}
+
+
 class TestWitness:
+    @pytest.mark.parametrize("rule", sorted(FIG1_WITNESS))
+    def test_fig1_golden_output(self, rule, write_graph, capsys):
+        path = write_graph(named_graph("fig1"), "fig1.txt")
+        assert main(["witness", path, "--rule", rule]) == 0
+        out, err = capsys.readouterr()
+        table, moves = FIG1_WITNESS[rule]
+        assert err == table
+        assert out == FIG1_DOT_HEAD + moves
+
     def test_fig1_strong_table_and_dot(self, write_graph, capsys):
         path = write_graph(named_graph("fig1"), "fig1.txt")
         assert main(["witness", path, "--rule", "strong"]) == 0
@@ -193,6 +312,24 @@ class TestVerifyCommands:
             capture_output=True,
             text=True,
             timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+
+    def test_random_negative_count_exits_2(self, capsys):
+        assert main(["verify-random", "--count", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spanlab: ") and err.count("\n") == 1
+
+    def test_random_tiny_edge_probability_exits_2(self):
+        # A connected draw of order 12 at p = 1e-6 almost never comes; the
+        # resampling cap turns what was an endless loop into exit 2.
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", "verify-random", "--count", "1",
+             "--p", "1e-6", "--n-min", "12", "--n-max", "12"],
+            capture_output=True,
+            text=True,
+            timeout=60,
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1

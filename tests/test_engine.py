@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from spanlab.engine import (
+    SpanReport,
     TrackPair,
     compute_span,
     direct_to_lazy,
@@ -27,6 +28,7 @@ from spanlab.families import (
 )
 from spanlab.graph import Graph
 from spanlab.product import MovementRule
+from spanlab.verify import enumerate_connected
 
 from hypothesis import strategies as st
 
@@ -168,6 +170,31 @@ class TestExtractWitness:
             report = compute_span(g, rule)
             tracks = extract_witness_tracks(report)
             assert tracks.length <= 2 * len(report.witness_component) - 1
+
+    def test_non_covering_component_raises(self):
+        # (0, 1) alone never puts vertex 1 in Alice's walk, and the search
+        # for it finds no member to step to.
+        report = SpanReport(Graph(2, [(0, 1)]), A, 1, ((0, 1),))
+        with pytest.raises(ValueError, match="cover"):
+            extract_witness_tracks(report)
+
+    @pytest.mark.parametrize("rule", (T, A, L), ids=lambda r: r.value)
+    def test_every_order_le_5_walk_is_valid_and_bounded(self, rule):
+        failures = []
+        for n in range(1, 6):
+            for g in enumerate_connected(n):
+                report = compute_span(g, rule)
+                tracks = extract_witness_tracks(report)
+                val = validate_tracks(g, tracks)
+                if not (
+                    val.conforms
+                    and val.surjective_f
+                    and val.surjective_g
+                    and val.min_distance == report.value
+                    and tracks.length <= 2 * len(report.witness_component) - 1
+                ):
+                    failures.append(g.edges())
+        assert failures == []
 
     @given(connected_graphs(max_n=7))
     def test_round_trip_all_rules(self, g):

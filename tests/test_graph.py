@@ -72,6 +72,12 @@ class TestDistances:
         g = cycle_graph(6)
         assert all(g.distance(v, (v + 3) % 6) == 3 for v in range(6))
 
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+    def test_out_of_range_ids_raise(self, u, v):
+        # A negative id used to index from the end: d(-1, 0) read as 3 on P4.
+        with pytest.raises(VertexOutOfRangeError):
+            path_graph(4).distance(u, v)
+
     @given(connected_graphs(max_n=8))
     def test_matches_floyd_warshall(self, g):
         assert [list(row) for row in g.distances] == floyd_warshall(g)

@@ -2,8 +2,8 @@
 
 ``reference_span`` rebuilds the pair graph at every threshold from the
 radius down and takes the first doubly covering component, and
-``reference_tracks`` walks that component through the pair graph's own
-adjacency.  ``compute_span`` and ``extract_witness_tracks`` must return
+``reference_tracks`` walks that component nearest-first through the pair
+graph's own adjacency.  ``compute_span`` and ``extract_witness_tracks`` must return
 exactly the same reports and walks, not merely equally valid ones.
 """
 
@@ -27,6 +27,7 @@ from spanlab.families import (
     hypercube_graph,
     path_graph,
 )
+from spanlab.graph import Graph
 from spanlab.product import (
     MovementRule,
     build_pair_graph,
@@ -43,12 +44,46 @@ def reference_span(g, rule: MovementRule) -> SpanReport:
     raise AssertionError("threshold 0 must always admit a covering component")
 
 
-def reference_tracks(report: SpanReport) -> TrackPair:
+def reference_greedy(pg, component) -> list:
+    """Nearest-first covering walk through the pair graph's own adjacency.
+
+    From the smallest pair, search breadth-first inside the component for
+    the nearest level holding a pair that adds an unvisited coordinate,
+    take the smallest such pair, trace back through the levels by the
+    smallest adjacent member, and repeat until both coordinates cover
+    every vertex.
+    """
+    n = pg.base.n
+    members = set(component)
+    walk = [component[0]]
+    seen_f, seen_g = {walk[0][0]}, {walk[0][1]}
+    while len(seen_f) < n or len(seen_g) < n:
+        levels = [{walk[-1]}]
+        reached = {walk[-1]}
+        while True:
+            level = {
+                nb for p in levels[-1] for nb in pg.neighbors(*p) if nb in members
+            } - reached
+            reached |= level
+            fresh = [p for p in level if p[0] not in seen_f or p[1] not in seen_g]
+            if fresh:
+                break
+            levels.append(level)
+        path = [min(fresh)]
+        for level in reversed(levels[1:]):
+            path.append(next(p for p in pg.neighbors(*path[-1]) if p in level))
+        for u, v in path:
+            seen_f.add(u)
+            seen_g.add(v)
+        walk += reversed(path)
+    return walk
+
+
+def reference_closed_dfs(pg, component) -> list:
     """Closed depth-first walk of the breadth-first spanning tree, with
-    children in ascending pair order, over the full pair graph."""
-    pg = build_pair_graph(report.graph, report.rule, report.value)
-    members = set(report.witness_component)
-    root = report.witness_component[0]
+    children in ascending pair order."""
+    members = set(component)
+    root = component[0]
     children: dict = {p: [] for p in members}
     seen = {root}
     queue = [root]
@@ -68,6 +103,17 @@ def reference_tracks(report: SpanReport) -> TrackPair:
             walk.append(node)
 
     tour(root)
+    return walk
+
+
+def reference_tracks(report: SpanReport) -> TrackPair:
+    """The greedy walk, or the closed depth-first walk where the greedy one
+    would be longer than ``2 * |component| - 1`` positions."""
+    pg = build_pair_graph(report.graph, report.rule, report.value)
+    component = report.witness_component
+    walk = reference_greedy(pg, component)
+    if len(walk) > 2 * len(component) - 1:
+        walk = reference_closed_dfs(pg, component)
     return TrackPair(tuple(u for u, _ in walk), tuple(v for _, v in walk), report.rule)
 
 
@@ -108,9 +154,39 @@ def test_p200_cliff():
     spans = []
     for rule in RULES:
         report = compute_span(g, rule)
-        check = validate_tracks(g, extract_witness_tracks(report))
+        tracks = extract_witness_tracks(report)
+        check = validate_tracks(g, tracks)
         assert check.conforms and check.surjective_f and check.surjective_g
         assert check.min_distance == report.value
+        assert len(tracks.f) <= 2 * g.n
         spans.append(report.value)
     assert spans == [1, 1, 0]
     assert time.perf_counter() - start < 60
+
+
+# Nearest-first exploration of this 10-vertex graph from vertex 0 leaves
+# the leaves 4 and 9, at opposite ends, for last: 21 positions, against
+# the closed depth-first walk's 19.
+FALLBACK_EDGES = [
+    (0, 2), (0, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 8), (3, 8), (5, 6), (5, 9),
+]
+
+
+@pytest.mark.parametrize("rule", [MovementRule.TRADITIONAL, MovementRule.ACTIVE],
+                         ids=lambda r: r.value)
+def test_greedy_walk_falls_back_to_closed_dfs(rule):
+    # On the diagonal pairs (u, u) both actors move as one, and every pair
+    # adds a new coordinate until it is visited, so the greedy walk is
+    # nearest-first exploration of the base graph.
+    g = Graph(10, FALLBACK_EDGES)
+    component = tuple((u, u) for u in range(g.n))
+    report = SpanReport(g, rule, 0, component)
+    pg = build_pair_graph(g, rule, 0)
+    assert len(reference_greedy(pg, component)) == 21
+
+    tracks = extract_witness_tracks(report)
+    walk = reference_closed_dfs(pg, component)
+    assert tracks == TrackPair(tuple(u for u, _ in walk), tuple(v for _, v in walk), rule)
+    assert tracks.length == 2 * len(component) - 1
+    check = validate_tracks(g, tracks)
+    assert check.conforms and check.surjective_f and check.surjective_g

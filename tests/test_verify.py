@@ -154,6 +154,10 @@ class TestRandomGraphs:
         for g in random_graphs(40, (2, 10), 0.25, 11):
             assert 2 <= g.n <= 10  # construction guarantees connectivity
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            list(random_graphs(-3, (4, 9), 0.3, 7))
+
     def test_probability_one_gives_complete_graphs(self):
         for g in random_graphs(5, (3, 6), 1.0, 3):
             assert g.edge_count == g.n * (g.n - 1) // 2
