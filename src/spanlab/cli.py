@@ -1,48 +1,29 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 value mismatch / counterexample / violated bound,
-2 unreadable or malformed input, 3 disconnected input graph, 4 input too
-large for an exhaustive routine.
+2 unreadable or malformed input, 3 disconnected input graph, 4 input over
+a size cap (an exhaustive routine's, graph6 output's or the family order).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from typing import Optional, Sequence
 
 from . import families, io, verify
 from .engine import compute_span, extract_witness_tracks
 from .errors import (
-    BadCharError,
     DisconnectedError,
-    DuplicateEdgeError,
-    EdgeListSyntaxError,
-    EmptyGraphError,
-    LengthMismatchError,
     OrderTooSmallError,
     ParameterOutOfRangeError,
-    SelfLoopError,
+    SpanlabError,
     TooLargeError,
     UnknownGraphIdError,
-    VertexOutOfRangeError,
 )
 from .graph import Graph
 from .product import MovementRule
-
-_PARSE_ERRORS = (
-    EdgeListSyntaxError,
-    BadCharError,
-    LengthMismatchError,
-    SelfLoopError,
-    DuplicateEdgeError,
-    EmptyGraphError,
-    VertexOutOfRangeError,
-    UnknownGraphIdError,
-    ParameterOutOfRangeError,
-)
 
 
 class _Exit(Exception):
@@ -65,7 +46,7 @@ def _read_graph(path: str, fmt: str) -> Graph:
         return io.parse_edge_list(text)
     except DisconnectedError as exc:
         raise _Exit(3, f"{path}: {exc}") from exc
-    except _PARSE_ERRORS as exc:
+    except SpanlabError as exc:
         raise _Exit(2, f"{path}: {exc}") from exc
 
 
@@ -208,37 +189,16 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-_FAMILY_TOKEN = re.compile(
-    r"^(?:(P|C|Q|PC|BT|S|W)(\d+)|K(\d+)(?:[_,x](\d+))?)$", re.IGNORECASE
-)
-
-_TOKEN_KINDS = {
-    "P": "path",
-    "C": "cycle",
-    "Q": "hypercube",
-    "PC": "paramecium",
-    "BT": "binary_tree",
-    "S": "star",
-    "W": "wheel",
-}
-
-
 def _graph_for_token(token: str) -> Graph:
     if token in families.NAMED_GRAPH_IDS:
         return families.named_graph(token)
-    m = _FAMILY_TOKEN.match(token)
-    if not m:
+    spec = families.spec_for_token(token)
+    if spec is None:
         raise UnknownGraphIdError(
             f"unknown graph {token!r}; use one of {', '.join(families.NAMED_GRAPH_IDS)}"
             " or a family token like P5, C6, Q3, K5, K3_4, S4, W5, PC5, BT3"
         )
-    if m.group(3) is not None:
-        r = int(m.group(3))
-        if m.group(4) is not None:
-            return families.generate(families.FamilySpec("complete_bipartite", r, int(m.group(4))))
-        return families.generate(families.FamilySpec("complete", r))
-    kind = _TOKEN_KINDS[m.group(1).upper()]
-    return families.generate(families.FamilySpec(kind, int(m.group(2))))
+    return families.generate(spec)
 
 
 def _cmd_named(args: argparse.Namespace) -> int:

@@ -3,16 +3,25 @@
 Every generator documents its vertex numbering, because downstream tools
 (witness tables, DOT output) print raw ids.  ``expected_spans`` returns the
 closed-form span triples the families are known to satisfy; the test suite
-checks the engine against them across desk-scale parameter sweeps.
+checks the engine against them across desk-scale parameter sweeps.  Each
+family's token, parameter floor, order, edges, closed form and sweep range
+are stated once, in ``_FAMILIES``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from typing import Callable, NamedTuple
 
-from .errors import ParameterOutOfRangeError, UnknownGraphIdError
+from .errors import ParameterOutOfRangeError, TooLargeError, UnknownGraphIdError
 from .graph import Graph
+
+# Largest family instance ``generate`` builds.  The distance rows cost
+# quadratic time and memory in the order, and P2000 already takes seconds.
+MAX_FAMILY_ORDER = 2048
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -27,19 +36,10 @@ class FamilySpec:
 
     @property
     def display_name(self) -> str:
-        short = {
-            "path": "P",
-            "cycle": "C",
-            "hypercube": "Q",
-            "complete": "K",
-            "star": "S",
-            "wheel": "W",
-            "paramecium": "PC",
-            "binary_tree": "BT",
-        }
-        if self.kind == "complete_bipartite":
-            return f"K_{{{self.n},{self.m}}}"
-        return f"{short[self.kind]}_{self.n}"
+        family = _family(self.kind)
+        if family.arity == 2:
+            return f"{family.token}_{{{self.n},{self.m}}}"
+        return f"{family.token}_{self.n}"
 
 
 @dataclass(frozen=True)
@@ -54,156 +54,193 @@ class ExpectedSpans:
         return (self.strong, self.direct, self.cartesian)
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise ParameterOutOfRangeError(message)
+class _Family(NamedTuple):
+    """One row of the family table.
+
+    Each of the ``arity`` parameters must be at least ``floor``; ``needs``
+    is the message for one that is not, with ``{}`` where the floor goes.
+    The default sweep runs each parameter from ``floor`` to ``sweep_top``.
+    ``order``, ``edges`` and ``spans`` take the parameters and give the
+    vertex count, the edge list and the closed-form (strong, direct,
+    cartesian) spans.
+    """
+
+    token: str
+    floor: int
+    needs: str
+    sweep_top: int
+    order: Callable[..., int]
+    edges: Callable[..., list[tuple[int, int]]]
+    spans: Callable[..., tuple[int, int, int]]
+    arity: int = 1
 
 
-# -- individual generators ---------------------------------------------------
-
-
-def path_graph(n: int) -> Graph:
-    """Path 0-1-...-(n-1), n >= 2."""
-    _require(n >= 2, f"path needs n >= 2, got {n}")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    """Cycle 0-1-...-(n-1)-0, n >= 3."""
-    _require(n >= 3, f"cycle needs n >= 3, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def hypercube_graph(d: int) -> Graph:
-    """d-cube on 2**d vertices; ids adjacent iff they differ in one bit, d >= 2."""
-    _require(d >= 2, f"hypercube needs dimension >= 2, got {d}")
-    n = 1 << d
-    edges = [(u, u | (1 << b)) for u in range(n) for b in range(d) if not u >> b & 1]
-    return Graph(n, edges)
-
-
-def complete_bipartite_graph(r: int, s: int) -> Graph:
-    """Parts 0..r-1 and r..r+s-1, every cross pair joined, r, s >= 2."""
-    _require(r >= 2 and s >= 2, f"biclique needs r, s >= 2, got {r}, {s}")
-    return Graph(r + s, [(u, r + v) for u in range(r) for v in range(s)])
-
-
-def complete_graph(n: int) -> Graph:
-    """Every pair joined, n >= 3."""
-    _require(n >= 3, f"complete graph needs n >= 3, got {n}")
-    return Graph(n, list(combinations(range(n), 2)))
-
-
-def star_graph(n: int) -> Graph:
-    """Hub 0 joined to leaves 1..n-1 (n total vertices), n >= 4."""
-    _require(n >= 4, f"star needs n >= 4 vertices, got {n}")
-    return Graph(n, [(0, v) for v in range(1, n)])
-
-
-def wheel_graph(n: int) -> Graph:
-    """Hub 0 joined to the rim cycle 1..n-1 (n total vertices), n >= 4."""
-    _require(n >= 4, f"wheel needs n >= 4 vertices, got {n}")
-    rim = [(v, v % (n - 1) + 1) for v in range(1, n)]
-    hub = [(0, v) for v in range(1, n)]
-    return Graph(n, sorted(set(hub + rim)))
-
-
-def paramecium_graph(n: int) -> Graph:
-    """Cycle 0..n-1 with pendant leaf n+i attached to cycle vertex i, n >= 3."""
-    _require(n >= 3, f"paramecium needs n >= 3, got {n}")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(i, n + i) for i in range(n)]
-    return Graph(2 * n, edges)
-
-
-def binary_tree_graph(h: int) -> Graph:
-    """Perfect binary tree of height h in level order (children of i are
-    2i+1 and 2i+2), h >= 1."""
-    _require(h >= 1, f"binary tree needs height >= 1, got {h}")
-    n = (1 << (h + 1)) - 1
-    interior = (1 << h) - 1
-    edges = [(i, c) for i in range(interior) for c in (2 * i + 1, 2 * i + 2)]
-    return Graph(n, edges)
-
-
-_GENERATORS = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "hypercube": hypercube_graph,
-    "complete": complete_graph,
-    "star": star_graph,
-    "wheel": wheel_graph,
-    "paramecium": paramecium_graph,
-    "binary_tree": binary_tree_graph,
+_FAMILIES = {
+    "path": _Family(
+        "P", 2, "path needs n >= {}", 10,
+        order=lambda n: n,
+        edges=lambda n: [(i, i + 1) for i in range(n - 1)],
+        spans=lambda n: (1, 1, 0),
+    ),
+    "cycle": _Family(
+        "C", 3, "cycle needs n >= {}", 10,
+        order=lambda n: n,
+        edges=lambda n: [(i, (i + 1) % n) for i in range(n)],
+        spans=lambda n: (n // 2, n // 2, (n - 1) // 2),
+    ),
+    "hypercube": _Family(
+        "Q", 2, "hypercube needs dimension >= {}", 4,
+        order=lambda d: 1 << d,
+        edges=lambda d: [(u, u | (1 << b)) for u in range(1 << d) for b in range(d) if not u >> b & 1],
+        spans=lambda d: (d, d, d - 1),
+    ),
+    "complete_bipartite": _Family(
+        "K", 2, "biclique needs r, s >= {}", 4,
+        order=lambda r, s: r + s,
+        edges=lambda r, s: [(u, r + v) for u in range(r) for v in range(s)],
+        spans=lambda r, s: (2, 2, 1),
+        arity=2,
+    ),
+    "complete": _Family(
+        "K", 3, "complete graph needs n >= {}", 8,
+        order=lambda n: n,
+        edges=lambda n: list(combinations(range(n), 2)),
+        spans=lambda n: (1, 1, 1),
+    ),
+    "star": _Family(
+        "S", 4, "star needs n >= {} vertices", 8,
+        order=lambda n: n,
+        edges=lambda n: [(0, v) for v in range(1, n)],
+        spans=lambda n: (1, 1, 1),
+    ),
+    "wheel": _Family(
+        "W", 4, "wheel needs n >= {} vertices", 8,
+        order=lambda n: n,
+        edges=lambda n: [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)],
+        spans=lambda n: (1, 1, 1),
+    ),
+    "paramecium": _Family(
+        "PC", 3, "paramecium needs n >= {}", 9,
+        order=lambda n: 2 * n,
+        edges=lambda n: [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)],
+        spans=lambda n: ((n + 1) // 2, n // 2, (n + 1) // 2),
+    ),
+    "binary_tree": _Family(
+        "BT", 1, "binary tree needs height >= {}", 4,
+        order=lambda h: (1 << (h + 1)) - 1,
+        edges=lambda h: [(i, c) for i in range((1 << h) - 1) for c in (2 * i + 1, 2 * i + 2)],
+        # The height-1 tree is the 3-vertex path, so the path values apply;
+        # the h - 1 closed form only holds from h == 2 up.
+        spans=lambda h: (h - 1, h - 1, h - 1) if h > 1 else (1, 1, 0),
+    ),
 }
 
 
+def _family(kind: str) -> _Family:
+    try:
+        return _FAMILIES[kind]
+    except KeyError:
+        raise ParameterOutOfRangeError(f"unknown family kind {kind!r}") from None
+
+
+def _checked(spec: FamilySpec) -> tuple[_Family, tuple[int, ...]]:
+    """The table row of a spec and its parameters, held to the row's floor."""
+    family = _family(spec.kind)
+    params = (spec.n, spec.m)[: family.arity]
+    if any(p is None or p < family.floor for p in params):
+        got = ", ".join(map(str, params))
+        raise ParameterOutOfRangeError(f"{family.needs.format(family.floor)}, got {got}")
+    return family, params
+
+
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph for a family spec (ParameterOutOfRange when invalid)."""
-    if spec.kind == "complete_bipartite":
-        if spec.m is None:
-            raise ParameterOutOfRangeError("biclique needs both part sizes")
-        return complete_bipartite_graph(spec.n, spec.m)
-    if spec.kind not in _GENERATORS:
-        raise ParameterOutOfRangeError(f"unknown family kind {spec.kind!r}")
-    return _GENERATORS[spec.kind](spec.n)
+    """Build the graph for a family spec (ParameterOutOfRange when invalid,
+    TooLargeError above MAX_FAMILY_ORDER vertices)."""
+    family, params = _checked(spec)
+    # No order is below the largest parameter, so that test comes first and
+    # spares computing 2**d for a huge hypercube dimension d.
+    if max(params) > MAX_FAMILY_ORDER or family.order(*params) > MAX_FAMILY_ORDER:
+        raise TooLargeError(
+            f"{spec.display_name} has over {MAX_FAMILY_ORDER} vertices, the family order cap"
+        )
+    return Graph(family.order(*params), family.edges(*params))
 
 
 def expected_spans(spec: FamilySpec) -> ExpectedSpans:
     """Closed-form (strong, direct, cartesian) values for a family instance."""
-    kind, n = spec.kind, spec.n
-    if kind == "path":
-        _require(n >= 2, f"path needs n >= 2, got {n}")
-        return ExpectedSpans(1, 1, 0)
-    if kind == "cycle":
-        _require(n >= 3, f"cycle needs n >= 3, got {n}")
-        half = n // 2
-        return ExpectedSpans(half, half, half if n % 2 else half - 1)
-    if kind == "hypercube":
-        _require(n >= 2, f"hypercube needs dimension >= 2, got {n}")
-        return ExpectedSpans(n, n, n - 1)
-    if kind == "complete_bipartite":
-        _require(
-            spec.m is not None and n >= 2 and spec.m >= 2,
-            f"biclique needs r, s >= 2, got {n}, {spec.m}",
-        )
-        return ExpectedSpans(2, 2, 1)
-    if kind == "complete":
-        _require(n >= 3, f"complete graph needs n >= 3, got {n}")
-        return ExpectedSpans(1, 1, 1)
-    if kind in ("star", "wheel"):
-        _require(n >= 4, f"{kind} needs n >= 4 vertices, got {n}")
-        return ExpectedSpans(1, 1, 1)
-    if kind == "paramecium":
-        _require(n >= 3, f"paramecium needs n >= 3, got {n}")
-        return ExpectedSpans((n + 1) // 2, n // 2, (n + 1) // 2)
-    if kind == "binary_tree":
-        _require(n >= 1, f"binary tree needs height >= 1, got {n}")
-        if n == 1:
-            # The height-1 tree is the 3-vertex path, so the path values
-            # apply; the h - 1 closed form only holds from h == 2 up.
-            return ExpectedSpans(1, 1, 0)
-        return ExpectedSpans(n - 1, n - 1, n - 1)
-    raise ParameterOutOfRangeError(f"unknown family kind {kind!r}")
+    family, params = _checked(spec)
+    return ExpectedSpans(*family.spans(*params))
 
 
 def default_family_sweep() -> list[FamilySpec]:
     """The desk-scale sweep exercised by tests and the families command."""
-    sweep: list[FamilySpec] = []
-    sweep += [FamilySpec("path", n) for n in range(2, 11)]
-    sweep += [FamilySpec("cycle", n) for n in range(3, 11)]
-    sweep += [FamilySpec("hypercube", d) for d in range(2, 5)]
-    sweep += [
-        FamilySpec("complete_bipartite", r, s)
-        for r in range(2, 5)
-        for s in range(2, 5)
+    return [
+        FamilySpec(kind, *params)
+        for kind, family in _FAMILIES.items()
+        for params in product(range(family.floor, family.sweep_top + 1), repeat=family.arity)
     ]
-    sweep += [FamilySpec("complete", n) for n in range(3, 9)]
-    sweep += [FamilySpec("star", n) for n in range(4, 9)]
-    sweep += [FamilySpec("wheel", n) for n in range(4, 9)]
-    sweep += [FamilySpec("paramecium", n) for n in range(3, 10)]
-    sweep += [FamilySpec("binary_tree", h) for h in range(1, 5)]
-    return sweep
+
+
+_TOKEN = re.compile(r"^([a-z]+)(\d+)(?:[_,x](\d+))?$", re.IGNORECASE)
+
+
+def spec_for_token(token: str) -> FamilySpec | None:
+    """The family instance a token such as P5, K5, K3_4 (also K3,4 and
+    K3x4) or BT3 names, in either case; None when it names none."""
+    m = _TOKEN.match(token)
+    if m is None:
+        return None
+    params = [int(d) for d in m.groups()[1:] if d is not None]
+    for kind, family in _FAMILIES.items():
+        if family.token.casefold() == m[1].casefold() and family.arity == len(params):
+            return FamilySpec(kind, *params)
+    return None
+
+
+def path_graph(n: int) -> Graph:
+    """Path 0-1-...-(n-1)."""
+    return generate(FamilySpec("path", n))
+
+
+def cycle_graph(n: int) -> Graph:
+    """Cycle 0-1-...-(n-1)-0."""
+    return generate(FamilySpec("cycle", n))
+
+
+def hypercube_graph(d: int) -> Graph:
+    """d-cube on 2**d vertices; ids adjacent iff they differ in one bit."""
+    return generate(FamilySpec("hypercube", d))
+
+
+def complete_bipartite_graph(r: int, s: int) -> Graph:
+    """Parts 0..r-1 and r..r+s-1, every cross pair joined."""
+    return generate(FamilySpec("complete_bipartite", r, s))
+
+
+def complete_graph(n: int) -> Graph:
+    """Every pair joined."""
+    return generate(FamilySpec("complete", n))
+
+
+def star_graph(n: int) -> Graph:
+    """Hub 0 joined to leaves 1..n-1 (n total vertices)."""
+    return generate(FamilySpec("star", n))
+
+
+def wheel_graph(n: int) -> Graph:
+    """Hub 0 joined to the rim cycle 1..n-1 (n total vertices)."""
+    return generate(FamilySpec("wheel", n))
+
+
+def paramecium_graph(n: int) -> Graph:
+    """Cycle 0..n-1 with pendant leaf n+i attached to cycle vertex i."""
+    return generate(FamilySpec("paramecium", n))
+
+
+def binary_tree_graph(h: int) -> Graph:
+    """Perfect binary tree of height h in level order (children of i are
+    2i+1 and 2i+2)."""
+    return generate(FamilySpec("binary_tree", h))
 
 
 # -- named example graphs ------------------------------------------------------

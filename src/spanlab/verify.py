@@ -316,9 +316,16 @@ class EnumerationReport:
     """Aggregate of a corpus sweep; counterexamples stay empty when the
     theorems hold."""
 
-    graphs_checked: int
-    counterexamples: list[tuple[str, str]]
     records: list[GraphRecord]
+
+    @property
+    def graphs_checked(self) -> int:
+        return len(self.records)
+
+    @property
+    def counterexamples(self) -> list[tuple[str, str]]:
+        """(graph6, violated property) pairs, in record order."""
+        return [(r.graph6, prop) for r in self.records for prop in r.violations]
 
     @property
     def cartesian_gt_direct(self) -> list[GraphRecord]:
@@ -449,12 +456,4 @@ def check_theorems(
             records = [_record_worker(args) for args in payload]
     else:
         records = [check_graph(g, check_witnesses, oracle_max_n) for g in corpus]
-
-    counterexamples = [
-        (r.graph6, prop) for r in records for prop in r.violations
-    ]
-    return EnumerationReport(
-        graphs_checked=len(records),
-        counterexamples=counterexamples,
-        records=records,
-    )
+    return EnumerationReport(records)

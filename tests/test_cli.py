@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import resource
 import subprocess
 import sys
 
@@ -226,7 +227,139 @@ class TestWitness:
         assert first.out == second.out and first.err == second.err
 
 
+# The full ``spanlab families`` sweep, pinned so that any change to a
+# family's generator, closed form, sweep range or display name shows up
+# as a diff.
+FAMILIES_DEFAULT = """\
+P_2       rad=1  strong=1/1 direct=1/1 cartesian=0/0 PASS
+P_3       rad=1  strong=1/1 direct=1/1 cartesian=0/0 PASS
+P_4       rad=2  strong=1/1 direct=1/1 cartesian=0/0 PASS
+P_5       rad=2  strong=1/1 direct=1/1 cartesian=0/0 PASS
+P_6       rad=3  strong=1/1 direct=1/1 cartesian=0/0 PASS
+P_7       rad=3  strong=1/1 direct=1/1 cartesian=0/0 PASS
+P_8       rad=4  strong=1/1 direct=1/1 cartesian=0/0 PASS
+P_9       rad=4  strong=1/1 direct=1/1 cartesian=0/0 PASS
+P_10      rad=5  strong=1/1 direct=1/1 cartesian=0/0 PASS
+C_3       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+C_4       rad=2  strong=2/2 direct=2/2 cartesian=1/1 PASS
+C_5       rad=2  strong=2/2 direct=2/2 cartesian=2/2 PASS
+C_6       rad=3  strong=3/3 direct=3/3 cartesian=2/2 PASS
+C_7       rad=3  strong=3/3 direct=3/3 cartesian=3/3 PASS
+C_8       rad=4  strong=4/4 direct=4/4 cartesian=3/3 PASS
+C_9       rad=4  strong=4/4 direct=4/4 cartesian=4/4 PASS
+C_10      rad=5  strong=5/5 direct=5/5 cartesian=4/4 PASS
+Q_2       rad=2  strong=2/2 direct=2/2 cartesian=1/1 PASS
+Q_3       rad=3  strong=3/3 direct=3/3 cartesian=2/2 PASS
+Q_4       rad=4  strong=4/4 direct=4/4 cartesian=3/3 PASS
+K_{2,2}   rad=2  strong=2/2 direct=2/2 cartesian=1/1 PASS
+K_{2,3}   rad=2  strong=2/2 direct=2/2 cartesian=1/1 PASS
+K_{2,4}   rad=2  strong=2/2 direct=2/2 cartesian=1/1 PASS
+K_{3,2}   rad=2  strong=2/2 direct=2/2 cartesian=1/1 PASS
+K_{3,3}   rad=2  strong=2/2 direct=2/2 cartesian=1/1 PASS
+K_{3,4}   rad=2  strong=2/2 direct=2/2 cartesian=1/1 PASS
+K_{4,2}   rad=2  strong=2/2 direct=2/2 cartesian=1/1 PASS
+K_{4,3}   rad=2  strong=2/2 direct=2/2 cartesian=1/1 PASS
+K_{4,4}   rad=2  strong=2/2 direct=2/2 cartesian=1/1 PASS
+K_3       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+K_4       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+K_5       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+K_6       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+K_7       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+K_8       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+S_4       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+S_5       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+S_6       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+S_7       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+S_8       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+W_4       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+W_5       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+W_6       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+W_7       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+W_8       rad=1  strong=1/1 direct=1/1 cartesian=1/1 PASS
+PC_3      rad=2  strong=2/2 direct=1/1 cartesian=2/2 PASS
+PC_4      rad=3  strong=2/2 direct=2/2 cartesian=2/2 PASS
+PC_5      rad=3  strong=3/3 direct=2/2 cartesian=3/3 PASS
+PC_6      rad=4  strong=3/3 direct=3/3 cartesian=3/3 PASS
+PC_7      rad=4  strong=4/4 direct=3/3 cartesian=4/4 PASS
+PC_8      rad=5  strong=4/4 direct=4/4 cartesian=4/4 PASS
+PC_9      rad=5  strong=5/5 direct=4/4 cartesian=5/5 PASS
+BT_1      rad=1  strong=1/1 direct=1/1 cartesian=0/0 PASS
+BT_2      rad=2  strong=1/1 direct=1/1 cartesian=1/1 PASS
+BT_3      rad=3  strong=2/2 direct=2/2 cartesian=2/2 PASS
+BT_4      rad=4  strong=3/3 direct=3/3 cartesian=3/3 PASS
+PASS 56/56 rows match
+"""
+
+FAMILIES_MACHINE = """\
+family=P_2 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=0 cartesian_expected=0 pass=1
+family=P_3 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=0 cartesian_expected=0 pass=1
+family=P_4 radius=2 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=0 cartesian_expected=0 pass=1
+family=P_5 radius=2 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=0 cartesian_expected=0 pass=1
+family=P_6 radius=3 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=0 cartesian_expected=0 pass=1
+family=P_7 radius=3 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=0 cartesian_expected=0 pass=1
+family=P_8 radius=4 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=0 cartesian_expected=0 pass=1
+family=P_9 radius=4 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=0 cartesian_expected=0 pass=1
+family=P_10 radius=5 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=0 cartesian_expected=0 pass=1
+family=C_3 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=C_4 radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=1 cartesian_expected=1 pass=1
+family=C_5 radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=2 cartesian_expected=2 pass=1
+family=C_6 radius=3 strong=3 strong_expected=3 direct=3 direct_expected=3 cartesian=2 cartesian_expected=2 pass=1
+family=C_7 radius=3 strong=3 strong_expected=3 direct=3 direct_expected=3 cartesian=3 cartesian_expected=3 pass=1
+family=C_8 radius=4 strong=4 strong_expected=4 direct=4 direct_expected=4 cartesian=3 cartesian_expected=3 pass=1
+family=C_9 radius=4 strong=4 strong_expected=4 direct=4 direct_expected=4 cartesian=4 cartesian_expected=4 pass=1
+family=C_10 radius=5 strong=5 strong_expected=5 direct=5 direct_expected=5 cartesian=4 cartesian_expected=4 pass=1
+family=Q_2 radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=1 cartesian_expected=1 pass=1
+family=Q_3 radius=3 strong=3 strong_expected=3 direct=3 direct_expected=3 cartesian=2 cartesian_expected=2 pass=1
+family=Q_4 radius=4 strong=4 strong_expected=4 direct=4 direct_expected=4 cartesian=3 cartesian_expected=3 pass=1
+family=K_{2,2} radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=1 cartesian_expected=1 pass=1
+family=K_{2,3} radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=1 cartesian_expected=1 pass=1
+family=K_{2,4} radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=1 cartesian_expected=1 pass=1
+family=K_{3,2} radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=1 cartesian_expected=1 pass=1
+family=K_{3,3} radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=1 cartesian_expected=1 pass=1
+family=K_{3,4} radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=1 cartesian_expected=1 pass=1
+family=K_{4,2} radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=1 cartesian_expected=1 pass=1
+family=K_{4,3} radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=1 cartesian_expected=1 pass=1
+family=K_{4,4} radius=2 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=1 cartesian_expected=1 pass=1
+family=K_3 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=K_4 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=K_5 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=K_6 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=K_7 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=K_8 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=S_4 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=S_5 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=S_6 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=S_7 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=S_8 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=W_4 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=W_5 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=W_6 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=W_7 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=W_8 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=PC_3 radius=2 strong=2 strong_expected=2 direct=1 direct_expected=1 cartesian=2 cartesian_expected=2 pass=1
+family=PC_4 radius=3 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=2 cartesian_expected=2 pass=1
+family=PC_5 radius=3 strong=3 strong_expected=3 direct=2 direct_expected=2 cartesian=3 cartesian_expected=3 pass=1
+family=PC_6 radius=4 strong=3 strong_expected=3 direct=3 direct_expected=3 cartesian=3 cartesian_expected=3 pass=1
+family=PC_7 radius=4 strong=4 strong_expected=4 direct=3 direct_expected=3 cartesian=4 cartesian_expected=4 pass=1
+family=PC_8 radius=5 strong=4 strong_expected=4 direct=4 direct_expected=4 cartesian=4 cartesian_expected=4 pass=1
+family=PC_9 radius=5 strong=5 strong_expected=5 direct=4 direct_expected=4 cartesian=5 cartesian_expected=5 pass=1
+family=BT_1 radius=1 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=0 cartesian_expected=0 pass=1
+family=BT_2 radius=2 strong=1 strong_expected=1 direct=1 direct_expected=1 cartesian=1 cartesian_expected=1 pass=1
+family=BT_3 radius=3 strong=2 strong_expected=2 direct=2 direct_expected=2 cartesian=2 cartesian_expected=2 pass=1
+family=BT_4 radius=4 strong=3 strong_expected=3 direct=3 direct_expected=3 cartesian=3 cartesian_expected=3 pass=1
+PASS 56/56 rows match
+"""
+
+
 class TestFamilies:
+    def test_default_sweep_pinned(self, capsys):
+        assert main(["families"]) == 0
+        assert capsys.readouterr().out == FAMILIES_DEFAULT
+
+    def test_machine_sweep_pinned(self, capsys):
+        assert main(["families", "--machine"]) == 0
+        assert capsys.readouterr().out == FAMILIES_MACHINE
+
     def test_reduced_sweep_passes(self, capsys):
         code = main(
             [
@@ -381,7 +514,51 @@ class TestBounds:
         assert capsys.readouterr().out == "radius=2 cut_bound=1 strong=1 ok=1\n"
 
 
+# ``spanlab named --format graph6`` for one token per family, and the three
+# spellings of the biclique token, pinned so that a change to a generator's
+# vertex numbering shows up as a diff.
+FAMILY_TOKEN_GRAPH6 = {
+    "P5": "DhC",
+    "C6": "EhEG",
+    "Q3": "Gr`HOk",
+    "K5": "D~{",
+    "K3_4": "FFzf?",
+    "K3,4": "FFzf?",
+    "K3x4": "FFzf?",
+    "S4": "Cs",
+    "W5": "D|s",
+    "PC5": "IheA@?OA?",
+    "BT3": "NqO`?_OA?O?_@??_?O?",
+}
+
+
+def _limit_address_space():
+    limit = 3 << 29  # 1.5 GiB, so a runaway allocation fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
 class TestNamed:
+    @pytest.mark.parametrize("token", sorted(FAMILY_TOKEN_GRAPH6))
+    def test_family_token_graph6_pinned(self, token, capsys):
+        assert main(["named", token, "--format", "graph6"]) == 0
+        assert capsys.readouterr().out == FAMILY_TOKEN_GRAPH6[token] + "\n"
+
+    @pytest.mark.parametrize("token", ["Q30", "K200000", "P20000", "K3_200000", "BT40"])
+    def test_family_order_cap_exits_4(self, token):
+        # A subprocess with a timeout and a bounded address space, so an
+        # instance built before the cap is checked fails the test instead
+        # of exhausting memory or hanging the suite.
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", "named", token],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+
     def test_list(self, capsys):
         assert main(["named", "--list"]) == 0
         out = capsys.readouterr().out

@@ -3,8 +3,9 @@ from __future__ import annotations
 import pytest
 
 from spanlab.engine import compute_span
-from spanlab.errors import ParameterOutOfRangeError, UnknownGraphIdError
+from spanlab.errors import ParameterOutOfRangeError, TooLargeError, UnknownGraphIdError
 from spanlab.families import (
+    MAX_FAMILY_ORDER,
     FamilySpec,
     NAMED_GRAPH_IDS,
     ORDER5_RADIUS2_SPANS,
@@ -73,6 +74,24 @@ class TestGenerate:
     )
     def test_out_of_range_rejected(self, spec):
         with pytest.raises(ParameterOutOfRangeError):
+            generate(spec)
+
+    def test_unknown_kind_has_no_display_name(self):
+        with pytest.raises(ParameterOutOfRangeError):
+            FamilySpec("grid", 3).display_name
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec("path", MAX_FAMILY_ORDER + 1),
+            FamilySpec("complete_bipartite", MAX_FAMILY_ORDER // 2, MAX_FAMILY_ORDER // 2 + 1),
+            FamilySpec("paramecium", MAX_FAMILY_ORDER // 2 + 1),
+            FamilySpec("hypercube", MAX_FAMILY_ORDER.bit_length()),
+            FamilySpec("binary_tree", MAX_FAMILY_ORDER.bit_length()),
+        ],
+    )
+    def test_order_above_cap_rejected_before_building(self, spec):
+        with pytest.raises(TooLargeError):
             generate(spec)
 
 
