@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 value mismatch / counterexample / violated bound,
 2 unreadable or malformed input, 3 disconnected input graph, 4 input over
-a size cap (an exhaustive routine's, graph6 output's or the family order).
+a size cap (an exhaustive routine's, graph6 output's or the graph order).
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ def _read_graph(path: str, fmt: str) -> Graph:
         return io.parse_edge_list(text)
     except DisconnectedError as exc:
         raise _Exit(3, f"{path}: {exc}") from exc
+    except TooLargeError as exc:
+        raise _Exit(4, f"{path}: {exc}") from exc
     except SpanlabError as exc:
         raise _Exit(2, f"{path}: {exc}") from exc
 
@@ -169,12 +171,11 @@ def _cmd_verify_random(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     g = _read_graph(args.file, args.format)
     strong = compute_span(g, MovementRule.TRADITIONAL).value
-    cut: Optional[int]
     try:
         cut = verify.cut_edge_bound(g)
+        cut_text = "no bridge" if cut is None else str(cut)
     except OrderTooSmallError:
-        cut = None
-    cut_text = "no bridge" if cut is None else str(cut)
+        cut, cut_text = None, "needs at least 3 vertices"
     if args.machine:
         cut_kv = "none" if cut is None else str(cut)
         ok = strong <= g.radius and (cut is None or strong <= cut)

@@ -17,7 +17,9 @@ missing from either walk.  Only coverage matters, so the walks stay short:
 Where the greedy walk would exceed ``2 * |component| - 1`` positions, the
 closed depth-first traversal of a spanning tree of the component, which
 has that length, is returned instead.  Either way the walk is
-rule-conformant and keeps the promised safety distance.
+rule-conformant and keeps the promised safety distance.  Both walks read
+the component's breadth-first levels from ``graph._levels`` and step back
+a level to the smallest rule-neighbour there.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     NotLazyConformantError,
     VertexOutOfRangeError,
 )
-from .graph import Graph, _bits
+from .graph import Graph, _bits, _levels
 # build_pair_graph and components_with_double_surjectivity are not used
 # here; they are re-exported because the benchmark's tracer looks them up
 # through this module.
@@ -88,14 +90,16 @@ class TrackValidation:
 class MoveAttribution:
     """Who moved at each step of a lazy-rule track pair.
 
-    ``x[i]`` is 1 when Alice (f) moved at step i and 2 when Bob (g) did;
-    ``mixed_pairs`` counts the consecutive (x[2k], x[2k+1]) pairs with two
-    different movers, which is exactly the index offset the lazy-to-active
-    transformation accumulates.
+    ``x[i]`` is 1 when Alice (f) moved at step i and 2 when Bob (g) did.
     """
 
     x: tuple[int, ...]
-    mixed_pairs: int
+
+    @property
+    def mixed_pairs(self) -> int:
+        """The (x[2k], x[2k+1]) pairs with two different movers: the index
+        offset the lazy-to-active transformation accumulates."""
+        return sum(a != b for a, b in zip(self.x[::2], self.x[1::2]))
 
 
 def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
@@ -167,10 +171,10 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
 
     A greedy covering walk that never leaves the witness component.  It
     starts at the component's smallest pair.  While a vertex is missing
-    from either walk, a breadth-first search from the walk's end grows one
-    level bitmask at a time inside the members and stops at the first level
-    holding a pair that adds a missing f- or g-coordinate; the smallest such
-    pair is the target.  The path back to the walk's end takes, at each
+    from either walk, the breadth-first levels from the walk's end inside the
+    members (``graph._levels``) are read up to the first level holding a
+    pair that adds a missing f- or g-coordinate; the smallest such pair is
+    the target.  The path back to the walk's end takes, at each
     level, the smallest member adjacent to the node just traced (every
     rule's step is symmetric), and the path is appended.  Every step is a
     rule step between pairs at distance >= the span, so the walks conform,
@@ -219,31 +223,21 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
             break
 
         fresh = members & (fresh_f | fresh_g)
-        node = walk[-1]
-        unseen = members ^ 1 << node
-        frontier = 1 << node
         levels = []
-        while True:
-            reached = 0
-            for i in _bits(frontier):
-                reached |= step(i)
-            frontier = reached & unseen
-            if not frontier:
-                raise ValueError(
-                    "witness component is not connected or does not cover"
-                    " every vertex in both coordinates"
-                )
-            hit = frontier & fresh
+        for level in _levels(step, walk[-1], members):
+            hit = level & fresh
             if hit:
                 break
-            unseen ^= frontier
-            levels.append(frontier)
+            levels.append(level)
+        else:
+            raise ValueError(
+                "witness component is not connected or does not cover"
+                " every vertex in both coordinates"
+            )
 
-        target = (hit & -hit).bit_length() - 1
-        path = [target]
+        path = [(hit & -hit).bit_length() - 1]
         for level in reversed(levels):
-            back = step(path[-1]) & level
-            path.append((back & -back).bit_length() - 1)
+            path.append(_nearest(step, path[-1], level))
         path.reverse()
 
     f = tuple(i // n for i in walk)
@@ -251,35 +245,37 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
     return TrackPair(f, g, report.rule)
 
 
+def _nearest(step: Callable[[int], int], node: int, level: int) -> int:
+    """The smallest rule-neighbour of ``node`` in the bitmask ``level``."""
+    back = step(node) & level
+    return (back & -back).bit_length() - 1
+
+
 def _closed_dfs(step: Callable[[int], int], members: int, root: int) -> list[int]:
     """Closed depth-first traversal of a breadth-first spanning tree.
 
-    The tree spans ``members`` from ``root``; a node's children are its
-    rule-neighbours among the members not yet seen, in ascending pair order.
-    Every tree edge is walked down and back up, giving ``2 * |members| - 1``
-    positions.
+    The tree spans ``members`` from ``root``.  A node's parent is its
+    smallest rule-neighbour one level nearer the root, the rule the greedy
+    walk traces back by; each level is read in ascending pair order, so
+    every node's children are too.  Every tree edge is walked down and back
+    up, giving ``2 * |members| - 1`` positions.
     """
-    unseen = members ^ 1 << root
     children: dict[int, list[int]] = {}
-    queue = [root]
-    for node in queue:  # the queue grows while it is read
-        found = step(node) & unseen
-        unseen ^= found
-        children[node] = list(_bits(found))
-        queue += children[node]
+    above = 1 << root
+    for level in _levels(step, root, members):
+        for node in _bits(level):
+            children.setdefault(_nearest(step, node, above), []).append(node)
+        above = level
 
-    walk = [root]
-    stack: list[tuple[int, Iterator[int]]] = [(root, iter(children[root]))]
+    # Each node's children are popped on its first visit; the later visits,
+    # on the way back up, only append it to the walk.
+    walk = []
+    stack = [root]
     while stack:
-        node, it = stack[-1]
-        child = next(it, None)
-        if child is None:
-            stack.pop()
-            if stack:
-                walk.append(stack[-1][0])
-        else:
-            walk.append(child)
-            stack.append((child, iter(children[child])))
+        node = stack.pop()
+        walk.append(node)
+        for child in reversed(children.pop(node, ())):
+            stack += (node, child)
     return walk
 
 
@@ -342,11 +338,9 @@ def move_attribution(g: Graph, t: TrackPair) -> MoveAttribution:
     """Per-step mover sequence of a lazy-conformant track pair."""
     if t.rule is not MovementRule.LAZY or not validate_tracks(g, t).conforms:
         raise NotLazyConformantError("tracks do not follow the lazy rule")
-    x = tuple(1 if t.f[i] != t.f[i + 1] else 2 for i in range(t.length - 1))
-    mixed = sum(
-        1 for k in range((t.length - 1) // 2) if x[2 * k] != x[2 * k + 1]
+    return MoveAttribution(
+        tuple(1 if t.f[i] != t.f[i + 1] else 2 for i in range(t.length - 1))
     )
-    return MoveAttribution(x=x, mixed_pairs=mixed)
 
 
 def direct_to_lazy(g: Graph, t: TrackPair) -> TrackPair:
@@ -377,40 +371,30 @@ def lazy_to_direct(g: Graph, t: TrackPair) -> TrackPair:
     at distance >= r, so the minimum distance drops by at most 1.  The
     output length is ``l - a`` where ``a`` counts the mixed pairs.
     """
-    attribution = move_attribution(g, t)  # raises if not lazy-conformant
-    x = attribution.x
+    x = move_attribution(g, t).x  # raises if not lazy-conformant
     f, b = t.f, t.g
-    l = t.length
 
     fp = [f[0]]
     gp = [b[0]]
-    time = 1  # 1-based position index in the lazy tracks emitted so far
-    for k in range((l - 1) // 2):
-        first, second = x[2 * k], x[2 * k + 1]
-        time += 2
-        if first != second:
-            fp.append(f[time - 1])
-            gp.append(b[time - 1])
-        elif first == 1:
-            stay = b[time - 1]
-            fp.append(f[time - 2])
-            gp.append(_bounce(g, stay, f[time - 2]))
-            fp.append(f[time - 1])
-            gp.append(stay)
+    # Step pair k moves from position 2k to i = 2k + 1, then on to j = 2k + 2.
+    for k in range(len(x) // 2):
+        i, j = 2 * k + 1, 2 * k + 2
+        if x[i - 1] != x[i]:
+            fp.append(f[j])
+            gp.append(b[j])
+        elif x[i] == 1:
+            fp += (f[i], f[j])
+            gp += (_bounce(g, b[j], f[i]), b[j])
         else:
-            stay = f[time - 1]
-            fp.append(_bounce(g, stay, b[time - 2]))
-            gp.append(b[time - 2])
-            fp.append(stay)
-            gp.append(b[time - 1])
-    if (l - 1) % 2 == 1:
-        time += 1
-        if x[l - 2] == 1:
-            fp.append(f[time - 1])
-            gp.append(_bounce(g, b[time - 1], f[time - 1]))
+            fp += (_bounce(g, f[j], b[i]), f[j])
+            gp += (b[i], b[j])
+    if len(x) % 2:
+        if x[-1] == 1:
+            fp.append(f[-1])
+            gp.append(_bounce(g, b[-1], f[-1]))
         else:
-            fp.append(_bounce(g, f[time - 1], b[time - 1]))
-            gp.append(b[time - 1])
+            fp.append(_bounce(g, f[-1], b[-1]))
+            gp.append(b[-1])
     return TrackPair(tuple(fp), tuple(gp), MovementRule.ACTIVE)
 
 

@@ -16,11 +16,7 @@ from itertools import combinations, product
 from typing import Callable, NamedTuple
 
 from .errors import ParameterOutOfRangeError, TooLargeError, UnknownGraphIdError
-from .graph import Graph
-
-# Largest family instance ``generate`` builds.  The distance rows cost
-# quadratic time and memory in the order, and P2000 already takes seconds.
-MAX_FAMILY_ORDER = 2048
+from .graph import MAX_ORDER, Graph
 
 
 @dataclass(frozen=True)
@@ -155,13 +151,14 @@ def _checked(spec: FamilySpec) -> tuple[_Family, tuple[int, ...]]:
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph for a family spec (ParameterOutOfRange when invalid,
-    TooLargeError above MAX_FAMILY_ORDER vertices)."""
+    TooLargeError above ``graph.MAX_ORDER`` vertices, before any edge is
+    built)."""
     family, params = _checked(spec)
     # No order is below the largest parameter, so that test comes first and
     # spares computing 2**d for a huge hypercube dimension d.
-    if max(params) > MAX_FAMILY_ORDER or family.order(*params) > MAX_FAMILY_ORDER:
+    if max(params) > MAX_ORDER or family.order(*params) > MAX_ORDER:
         raise TooLargeError(
-            f"{spec.display_name} has over {MAX_FAMILY_ORDER} vertices, the family order cap"
+            f"{spec.display_name} has over {MAX_ORDER} vertices, the order cap"
         )
     return Graph(family.order(*params), family.edges(*params))
 
@@ -186,14 +183,21 @@ _TOKEN = re.compile(r"^([a-z]+)(\d+)(?:[_,x](\d+))?$", re.IGNORECASE)
 
 def spec_for_token(token: str) -> FamilySpec | None:
     """The family instance a token such as P5, K5, K3_4 (also K3,4 and
-    K3x4) or BT3 names, in either case; None when it names none."""
+    K3x4) or BT3 names, in either case; None when it names none.
+
+    A parameter with more digits than ``graph.MAX_ORDER`` raises
+    ``TooLargeError`` before it is converted, since ``int`` refuses strings
+    of over 4,300 digits and no order is below its largest parameter.
+    """
     m = _TOKEN.match(token)
     if m is None:
         return None
-    params = [int(d) for d in m.groups()[1:] if d is not None]
+    digits = [d.lstrip("0") or "0" for d in m.groups()[1:] if d is not None]
     for kind, family in _FAMILIES.items():
-        if family.token.casefold() == m[1].casefold() and family.arity == len(params):
-            return FamilySpec(kind, *params)
+        if family.token.casefold() == m[1].casefold() and family.arity == len(digits):
+            if max(map(len, digits)) > len(str(MAX_ORDER)):
+                raise TooLargeError(f"{family.token} parameter over {MAX_ORDER}, the order cap")
+            return FamilySpec(kind, *map(int, digits))
     return None
 
 

@@ -11,7 +11,7 @@ module is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -19,10 +19,15 @@ from .errors import (
     EmptyGraphError,
     NotABridgeError,
     SelfLoopError,
+    TooLargeError,
     VertexOutOfRangeError,
 )
 
 Edge = tuple[int, int]
+
+# Largest order a Graph is built with.  The distance rows cost quadratic
+# time and memory in the order, and P2000 already takes seconds.
+MAX_ORDER = 2048
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -33,11 +38,27 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _levels(step: Callable[[int], int], source: int, within: int) -> Iterator[int]:
+    """Yield the breadth-first levels from ``source`` inside the bitmask
+    ``within``, which holds it: the k-th yield is the bitmask of the nodes
+    k ``step``s away, from k = 1.  Stops at the first empty level."""
+    unseen = within ^ 1 << source
+    level = step(source) & unseen
+    while level:
+        yield level
+        unseen ^= level
+        reached = 0
+        for i in _bits(level):
+            reached |= step(i)
+        level = reached & unseen
+
+
 class Graph:
     """Immutable simple connected undirected graph.
 
     Construction rejects self-loops, duplicate edges, out-of-range vertex
-    ids, empty graphs and disconnected graphs.  The single-vertex graph is
+    ids, empty graphs and disconnected graphs, and orders over
+    ``MAX_ORDER`` before anything is allocated.  The single-vertex graph is
     admitted.
     """
 
@@ -61,6 +82,8 @@ class Graph:
     ):
         if not isinstance(n, int) or n <= 0:
             raise EmptyGraphError(f"need at least one vertex, got n={n}")
+        if n > MAX_ORDER:
+            raise TooLargeError(f"order {n} is over {MAX_ORDER}, the order cap")
         seen: set[Edge] = set()
         masks = [0] * n
         for e in edges:

@@ -20,6 +20,8 @@ pair indices one step away.  The span sweep and the witness search in
 ``engine`` call it directly, on live pairs and on a component's members.
 ``build_pair_graph`` materialises the whole graph at one threshold from the
 same step; the tests use it as the reference the sweep is compared against.
+Its components are unions of breadth-first levels from ``graph._levels``,
+the one search over pair indices that ``engine``'s witness walks use too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from enum import Enum
 from typing import Callable
 
 from .errors import ThresholdTooLargeError
-from .graph import Graph, _bits
+from .graph import Graph, _bits, _levels
 
 Pair = tuple[int, int]
 
@@ -109,21 +111,14 @@ class PairGraph:
 
     def component_masks(self) -> list[int]:
         """Connected components as pair-index bitmasks, by smallest member."""
-        adj = self._adj
         remaining = self._allowed
         comps = []
         while remaining:
             seed = remaining & -remaining
-            comp = seed
-            frontier = seed
-            while frontier:
-                nxt = 0
-                for i in _bits(frontier):
-                    nxt |= adj[i]
-                frontier = nxt & ~comp
-                comp |= frontier
+            # The levels are disjoint, so their sum is their union.
+            comp = seed + sum(_levels(self._adj.__getitem__, seed.bit_length() - 1, remaining))
             comps.append(comp)
-            remaining &= ~comp
+            remaining ^= comp
         return comps
 
     def components(self) -> list[tuple[Pair, ...]]:
@@ -201,15 +196,8 @@ def components_with_double_surjectivity(pg: PairGraph) -> list[tuple[Pair, ...]]
     Ordered by the smallest pair index contained in each component.
     """
     n = pg.base.n
-    full = (1 << n) - 1
-    out = []
-    for mask in pg.component_masks():
-        p1 = 0
-        p2 = 0
-        for i in _bits(mask):
-            u, v = divmod(i, n)
-            p1 |= 1 << u
-            p2 |= 1 << v
-        if p1 == full and p2 == full:
-            out.append(tuple(divmod(i, n) for i in _bits(mask)))
-    return out
+    return [
+        comp
+        for comp in pg.components()
+        if len({u for u, _ in comp}) == n and len({v for _, v in comp}) == n
+    ]

@@ -437,23 +437,19 @@ def check_theorems(
 ) -> EnumerationReport:
     """Sweep a corpus; the merge is ordered, so output is independent of ``jobs``.
 
-    ``jobs`` defaults to the CPU count and is clamped by ``clamp_jobs``; the
-    corpus is only materialised (as graph6 lines) when more than one worker
-    could run.
+    ``jobs`` defaults to the CPU count and is clamped by ``clamp_jobs``.  One
+    worker checks the graphs in this process; more get them as graph6 lines
+    through a fork pool.
     """
+    corpus = list(corpus)
     cpus = os.cpu_count() or 1
-    if jobs is None:
-        jobs = cpus
-    if min(jobs, cpus) > 1:
-        payload = [(emit_graph6(g), check_witnesses, oracle_max_n) for g in corpus]
-        workers = clamp_jobs(jobs, cpus, len(payload))
-        if workers > 1:
-            import multiprocessing as mp
+    workers = clamp_jobs(cpus if jobs is None else jobs, cpus, len(corpus))
+    if workers == 1:
+        return EnumerationReport(
+            [check_graph(g, check_witnesses, oracle_max_n) for g in corpus]
+        )
+    import multiprocessing as mp
 
-            with mp.get_context("fork").Pool(workers) as pool:
-                records = list(pool.imap(_record_worker, payload, chunksize=64))
-        else:
-            records = [_record_worker(args) for args in payload]
-    else:
-        records = [check_graph(g, check_witnesses, oracle_max_n) for g in corpus]
-    return EnumerationReport(records)
+    payload = [(emit_graph6(g), check_witnesses, oracle_max_n) for g in corpus]
+    with mp.get_context("fork").Pool(workers) as pool:
+        return EnumerationReport(list(pool.imap(_record_worker, payload, chunksize=64)))

@@ -33,6 +33,11 @@ def write_graph(tmp_path):
     return _write
 
 
+def _limit_address_space():
+    limit = 3 << 29  # 1.5 GiB, so a runaway allocation fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
 class TestSpan:
     def test_pc5_all_rules(self, pc5_file, capsys):
         assert main(["span", pc5_file]) == 0
@@ -62,6 +67,24 @@ class TestSpan:
         path.write_text("n 4\n0 1\n2 3\n")
         assert main(["span", str(path)]) == 3
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["span", "bounds"])
+    def test_order_over_cap_exits_4(self, command, tmp_path):
+        # A subprocess with a timeout and a bounded address space: the
+        # header alone used to make Graph allocate a list of 10**11 entries
+        # and die with a MemoryError traceback.
+        path = tmp_path / "huge.txt"
+        path.write_text("n 99999999999\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", command, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["span", "/nonexistent/x.txt"]) == 2
@@ -508,6 +531,18 @@ class TestBounds:
         assert "cut-edge bound: no bridge" in out
         assert "strong span: 4" in out
 
+    def test_p2_names_the_order_floor(self, write_graph, capsys):
+        # P2's one edge is a bridge; the bound is not defined below 3
+        # vertices, so "no bridge" would be false.
+        from spanlab.families import path_graph
+
+        path = write_graph(path_graph(2), "p2.txt")
+        assert main(["bounds", path]) == 0
+        out = capsys.readouterr().out
+        assert "cut-edge bound: needs at least 3 vertices" in out
+        assert main(["bounds", path, "--machine"]) == 0
+        assert capsys.readouterr().out == "radius=1 cut_bound=none strong=1 ok=1\n"
+
     def test_machine_output(self, write_graph, capsys):
         path = write_graph(named_graph("fig6_left"), "l.txt")
         assert main(["bounds", path, "--machine"]) == 0
@@ -532,18 +567,18 @@ FAMILY_TOKEN_GRAPH6 = {
 }
 
 
-def _limit_address_space():
-    limit = 3 << 29  # 1.5 GiB, so a runaway allocation fails fast
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
 class TestNamed:
     @pytest.mark.parametrize("token", sorted(FAMILY_TOKEN_GRAPH6))
     def test_family_token_graph6_pinned(self, token, capsys):
         assert main(["named", token, "--format", "graph6"]) == 0
         assert capsys.readouterr().out == FAMILY_TOKEN_GRAPH6[token] + "\n"
 
-    @pytest.mark.parametrize("token", ["Q30", "K200000", "P20000", "K3_200000", "BT40"])
+    @pytest.mark.parametrize(
+        "token",
+        # The last token is past int()'s 4,300-digit limit for strings.
+        ["Q30", "K200000", "P20000", "K3_200000", "BT40",
+         pytest.param("P" + "9" * 4400, id="P-4400-digits")],
+    )
     def test_family_order_cap_exits_4(self, token):
         # A subprocess with a timeout and a bounded address space, so an
         # instance built before the cap is checked fails the test instead

@@ -5,7 +5,6 @@ import pytest
 from spanlab.engine import compute_span
 from spanlab.errors import ParameterOutOfRangeError, TooLargeError, UnknownGraphIdError
 from spanlab.families import (
-    MAX_FAMILY_ORDER,
     FamilySpec,
     NAMED_GRAPH_IDS,
     ORDER5_RADIUS2_SPANS,
@@ -21,6 +20,7 @@ from spanlab.families import (
     star_graph,
     wheel_graph,
 )
+from spanlab.graph import MAX_ORDER
 from spanlab.product import MovementRule
 from spanlab.verify import RULES, is_isomorphic
 
@@ -83,11 +83,11 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "spec",
         [
-            FamilySpec("path", MAX_FAMILY_ORDER + 1),
-            FamilySpec("complete_bipartite", MAX_FAMILY_ORDER // 2, MAX_FAMILY_ORDER // 2 + 1),
-            FamilySpec("paramecium", MAX_FAMILY_ORDER // 2 + 1),
-            FamilySpec("hypercube", MAX_FAMILY_ORDER.bit_length()),
-            FamilySpec("binary_tree", MAX_FAMILY_ORDER.bit_length()),
+            FamilySpec("path", MAX_ORDER + 1),
+            FamilySpec("complete_bipartite", MAX_ORDER // 2, MAX_ORDER // 2 + 1),
+            FamilySpec("paramecium", MAX_ORDER // 2 + 1),
+            FamilySpec("hypercube", MAX_ORDER.bit_length()),
+            FamilySpec("binary_tree", MAX_ORDER.bit_length()),
         ],
     )
     def test_order_above_cap_rejected_before_building(self, spec):

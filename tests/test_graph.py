@@ -9,6 +9,7 @@ from spanlab.errors import (
     EmptyGraphError,
     NotABridgeError,
     SelfLoopError,
+    TooLargeError,
     VertexOutOfRangeError,
 )
 from spanlab.families import (
@@ -18,7 +19,7 @@ from spanlab.families import (
     paramecium_graph,
     path_graph,
 )
-from spanlab.graph import Graph, bridges, eccentricity, split_at_bridge
+from spanlab.graph import MAX_ORDER, Graph, _levels, bridges, eccentricity, split_at_bridge
 
 from conftest import bridges_by_removal, connected_graphs, floyd_warshall
 
@@ -55,6 +56,11 @@ class TestBuildGraph:
         with pytest.raises(VertexOutOfRangeError):
             Graph(2, [(0, 2)])
 
+    @pytest.mark.parametrize("n", [MAX_ORDER + 1, 99_999_999_999])
+    def test_order_above_cap_rejected_before_allocating(self, n):
+        with pytest.raises(TooLargeError):
+            Graph(n, [])
+
     def test_labels_side_table(self):
         g = Graph(2, [(0, 1)], labels=["a", "b"])
         assert g.label(0) == "a" and g.label(1) == "b"
@@ -81,6 +87,15 @@ class TestDistances:
     @given(connected_graphs(max_n=8))
     def test_matches_floyd_warshall(self, g):
         assert [list(row) for row in g.distances] == floyd_warshall(g)
+
+    @given(connected_graphs(max_n=8))
+    def test_levels_group_vertices_by_distance(self, g):
+        full = (1 << g.n) - 1
+        for s, row in enumerate(g.distances):
+            by_distance = [
+                sum(1 << v for v, d in enumerate(row) if d == k) for k in range(1, max(row) + 1)
+            ]
+            assert list(_levels(g._masks.__getitem__, s, full)) == by_distance
 
     @given(connected_graphs(max_n=8))
     def test_matrix_invariants(self, g):

@@ -16,6 +16,7 @@ import pytest
 from spanlab.engine import (
     SpanReport,
     TrackPair,
+    _closed_dfs,
     compute_span,
     extract_witness_tracks,
     validate_tracks,
@@ -32,6 +33,7 @@ from spanlab.product import (
     MovementRule,
     build_pair_graph,
     components_with_double_surjectivity,
+    pair_neighbors,
 )
 from spanlab.verify import RULES, enumerate_connected, random_graphs
 
@@ -80,19 +82,21 @@ def reference_greedy(pg, component) -> list:
 
 
 def reference_closed_dfs(pg, component) -> list:
-    """Closed depth-first walk of the breadth-first spanning tree, with
-    children in ascending pair order."""
+    """Closed depth-first walk of the breadth-first spanning tree whose
+    parents are each node's smallest neighbour one level nearer the root,
+    with children in ascending pair order."""
     members = set(component)
     root = component[0]
     children: dict = {p: [] for p in members}
+    above = {root}
     seen = {root}
-    queue = [root]
-    for node in queue:
-        for nb in pg.neighbors(*node):
-            if nb in members and nb not in seen:
-                seen.add(nb)
-                children[node].append(nb)
-                queue.append(nb)
+    while above:
+        level = {nb for p in above for nb in pg.neighbors(*p) if nb in members} - seen
+        for node in sorted(level):
+            parent = min(nb for nb in pg.neighbors(*node) if nb in above)
+            children[parent].append(node)
+        seen |= level
+        above = level
 
     walk = []
 
@@ -190,3 +194,30 @@ def test_greedy_walk_falls_back_to_closed_dfs(rule):
     assert tracks.length == 2 * len(component) - 1
     check = validate_tracks(g, tracks)
     assert check.conforms and check.surjective_f and check.surjective_g
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
+def test_closed_dfs_matches_reference_on_every_small_witness(rule):
+    # No span witness of order <= 5 needs the fallback, so it is run on
+    # every winning component directly.  Many of them give a node several
+    # neighbours one level nearer the root, which is where the parent rule
+    # shows.
+    mismatches = []
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    for g in graphs:
+        report = compute_span(g, rule)
+        component = report.witness_component
+        n = g.n
+        members = sum(1 << (u * n + v) for u, v in component)
+        root = component[0][0] * n + component[0][1]
+        walk = [divmod(i, n) for i in _closed_dfs(pair_neighbors(g, rule), members, root)]
+        if walk != reference_closed_dfs(build_pair_graph(g, rule, report.value), component):
+            mismatches.append(f"{g.edges()}: walks differ")
+            continue
+        assert len(walk) == 2 * len(component) - 1
+        tracks = TrackPair(tuple(u for u, _ in walk), tuple(v for _, v in walk), rule)
+        check = validate_tracks(g, tracks)
+        assert check.conforms and check.surjective_f and check.surjective_g
+        assert check.min_distance == report.value
+    assert len(graphs) == 772
+    assert mismatches == []

@@ -227,10 +227,12 @@ class TestCheckTheorems:
         assert "0 counterexamples; 0 graphs with cartesian>direct" in text
 
     def test_parallel_matches_sequential(self):
-        corpus = list(enumerate_connected(4))
-        seq = check_theorems(corpus, jobs=1)
-        par = check_theorems(corpus, jobs=2)
-        assert [r.to_line() for r in seq.records] == [r.to_line() for r in par.records]
+        # A one-graph corpus gets one worker at jobs=2, in this process.
+        full = list(enumerate_connected(4))
+        for corpus in (full, full[:1]):
+            seq = check_theorems(corpus, jobs=1)
+            par = check_theorems(corpus, jobs=2)
+            assert [r.to_line() for r in seq.records] == [r.to_line() for r in par.records]
 
 
 class TestClampJobs:
