@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -31,7 +30,7 @@ from .graph import Graph, _bfs_row, bridges
 from .io import emit_graph6, parse_graph6
 from .product import MovementRule
 
-ORACLE_MAX_N = 6
+ORACLE_MAX_N = 7
 ENUMERATE_MAX_N = 7
 DEDUP_MAX_N = 6
 # Draws per random graph before ``random_graphs`` gives up on a connected one.
@@ -42,12 +41,14 @@ RANDOM_MAX_ATTEMPTS = 10_000
 
 
 def oracle_span(g: Graph, rule: MovementRule) -> int:
-    """Span by explicit search over joint actor states (n <= 6).
+    """Span by explicit search over joint actor states (n <= 7).
 
     A state is (Alice's position, Bob's position, Alice's visited set,
     Bob's visited set); transitions follow the movement rule and never let
     the positions come closer than the threshold.  The span is the largest
-    threshold from which some doubly-complete state is reachable.
+    threshold from which some doubly-complete state is reachable.  The
+    n^2 * 4^n states number under a million at order 7, and the search is
+    depth-first, so one that succeeds visits few of them.
     """
     if g.n > ORACLE_MAX_N:
         raise TooLargeError(
@@ -62,52 +63,54 @@ def oracle_span(g: Graph, rule: MovementRule) -> int:
 def _coverable(g: Graph, r: int, rule: MovementRule) -> bool:
     # Joint states are packed as (pair_index << 2n) | (seenA << n) | seenB
     # into a flat visited bytearray; each actor's position stays inside its
-    # own seen set by construction.
+    # own seen set by construction.  The search is depth-first from every
+    # start pair at once: a failing search still visits every reachable
+    # state, and a succeeding one dives to a complete state instead of
+    # first visiting every state at a smaller depth.
     n = g.n
+    adj = g._adj
     dist = g.distances
-    pairs = [
-        (u, v) for u in range(n) for v in range(n) if dist[u][v] >= r
-    ]
-    index = {p: k for k, p in enumerate(pairs)}
+    index = [-1] * (n * n)  # index[u * n + v]: the pair's index, -1 below r
+    pairs: list[tuple[int, int]] = []
+    for u in range(n):
+        row = dist[u]
+        for v in range(n):
+            if row[v] >= r:
+                index[u * n + v] = len(pairs)
+                pairs.append((u, v))
+    if not pairs:
+        return False
     full = (1 << n) - 1
     shift = 2 * n
 
-    def moves(w: int, may_stay: bool) -> tuple[int, ...]:
-        nbrs = g.neighbors(w)
-        return nbrs + (w,) if may_stay else nbrs
-
+    lazy = rule is MovementRule.LAZY
+    stay = rule is MovementRule.TRADITIONAL
     successors: list[list[tuple[int, int, int]]] = []
     for u, v in pairs:
-        out = []
-        if rule is MovementRule.LAZY:
-            options = [(u2, v) for u2 in g.neighbors(u)]
-            options += [(u, v2) for v2 in g.neighbors(v)]
+        if lazy:
+            options = [(u2, v) for u2 in adj[u]] + [(u, v2) for v2 in adj[v]]
         else:
-            may_stay = rule is MovementRule.TRADITIONAL
-            options = [
-                (u2, v2)
-                for u2 in moves(u, may_stay)
-                for v2 in moves(v, may_stay)
-            ]
+            moves_u = adj[u] + (u,) if stay else adj[u]
+            moves_v = adj[v] + (v,) if stay else adj[v]
+            options = [(u2, v2) for u2 in moves_u for v2 in moves_v]
+        out = []
         for u2, v2 in options:
-            k2 = index.get((u2, v2))
-            if k2 is not None:
+            k2 = index[u2 * n + v2]
+            if k2 >= 0:
                 out.append((k2 << shift, 1 << u2, 1 << v2))
         successors.append(out)
 
-    if not pairs:
-        return False
     visited = bytearray(len(pairs) << shift)
-    queue: deque[tuple[int, int, int]] = deque()
+    stack: list[tuple[int, int, int]] = []
     for k, (u, v) in enumerate(pairs):
         sa, sb = 1 << u, 1 << v
         if sa == full and sb == full:
             return True
         state = (k << shift) | (sa << n) | sb
         visited[state] = 1
-        queue.append((k, sa, sb))
-    while queue:
-        k, sa, sb = queue.popleft()
+        stack.append((k, sa, sb))
+    while stack:
+        k, sa, sb = stack.pop()
         for k2s, bu, bv in successors[k]:
             sa2 = sa | bu
             sb2 = sb | bv
@@ -116,7 +119,7 @@ def _coverable(g: Graph, r: int, rule: MovementRule) -> bool:
                 if sa2 == full and sb2 == full:
                     return True
                 visited[state] = 1
-                queue.append((k2s >> shift, sa2, sb2))
+                stack.append((k2s >> shift, sa2, sb2))
     return False
 
 
@@ -439,8 +442,13 @@ def check_theorems(
 
     ``jobs`` defaults to the CPU count and is clamped by ``clamp_jobs``.  One
     worker checks the graphs in this process; more get them as graph6 lines
-    through a fork pool.
+    through a fork pool.  An ``oracle_max_n`` over ``ORACLE_MAX_N`` raises
+    ``ValueError`` before any graph is checked.
     """
+    if oracle_max_n > ORACLE_MAX_N:
+        raise ValueError(
+            f"oracle_max_n {oracle_max_n} is over the oracle's cap of {ORACLE_MAX_N} vertices"
+        )
     corpus = list(corpus)
     cpus = os.cpu_count() or 1
     workers = clamp_jobs(cpus if jobs is None else jobs, cpus, len(corpus))

@@ -617,6 +617,12 @@ class TestNamed:
         assert main(["named", "fig99"]) == 2
         assert "unknown graph" in capsys.readouterr().err
 
+    def test_unknown_long_token_message_is_bounded(self, capsys):
+        assert main(["named", "Z" + "1" * 4400]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "unknown graph" in lines[0] and len(lines[0]) < 200
+
     def test_bad_parameter_exits_2(self, capsys):
         assert main(["named", "C2"]) == 2
         assert capsys.readouterr().err

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from spanlab import verify
 from spanlab.engine import compute_span
 from spanlab.errors import OrderTooSmallError, TooLargeError
 from spanlab.families import (
@@ -15,6 +16,7 @@ from spanlab.families import (
 from spanlab.graph import Graph
 from spanlab.io import emit_graph6
 from spanlab.verify import (
+    ORACLE_MAX_N,
     RULES,
     canonical_edge_mask,
     check_graph,
@@ -49,7 +51,7 @@ class TestOracle:
 
     def test_too_large(self):
         with pytest.raises(TooLargeError):
-            oracle_span(cycle_graph(7), T)
+            oracle_span(cycle_graph(8), T)
 
     def test_agrees_with_engine_exhaustively_to_4(self):
         for n in range(1, 5):
@@ -225,6 +227,36 @@ class TestCheckTheorems:
         report = check_theorems(list(enumerate_connected(3)), jobs=1)
         text = "\n".join(report.summary_lines())
         assert "0 counterexamples; 0 graphs with cartesian>direct" in text
+
+    def test_order7_atlas_against_oracle(self):
+        # networkx's atlas holds one graph per isomorphism class; its 853
+        # connected order-7 classes are checked against the oracle directly.
+        import networkx as nx
+
+        corpus = [
+            Graph(7, a.edges())
+            for a in nx.graph_atlas_g()
+            if a.number_of_nodes() == 7 and nx.is_connected(a)
+        ]
+        report = check_theorems(corpus, jobs=1, check_witnesses=True, oracle_max_n=7)
+        assert report.graphs_checked == 853
+        assert all(r.oracle_checked for r in report.records)
+        assert report.counterexamples == []
+        # The order-7 counts quoted in the README.
+        assert len(report.cartesian_gt_direct) == 11
+        cut = [r for r in report.records if r.cut_bound is not None]
+        assert len(cut) == 351
+        assert sum(r.strong == r.cut_bound for r in cut) == 215
+
+    def test_oracle_cap_over_the_limit_refused_up_front(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a graph was checked")
+
+        monkeypatch.setattr(verify, "check_graph", fail)
+        corpus = [path_graph(3), cycle_graph(8)]
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="oracle"):
+                check_theorems(corpus, jobs=jobs, oracle_max_n=ORACLE_MAX_N + 1)
 
     def test_parallel_matches_sequential(self):
         # A one-graph corpus gets one worker at jobs=2, in this process.
