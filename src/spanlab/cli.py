@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 value mismatch / counterexample / violated bound,
 2 unreadable or malformed input, 3 disconnected input graph, 4 input over
-a size cap (an exhaustive routine's, graph6 output's or the graph order).
+a size cap (an exhaustive routine's or the graph order).
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ closer than ``r``; conversely any pair of covering walks traces such a
 component.  A covering component at ``r`` lies inside one at ``r - 1``, so
 the span is found by one union-find sweep that adds pairs from the radius
 down and stops at the first threshold where a component covers both
-coordinates; no pair graph is built.
+coordinates; no pair graph is built.  The winning component stays in the
+sweep's format, a bitmask with bit ``u * n + v`` set for each member pair
+``(u, v)`` (``SpanReport.members``), and the witness walk reads it as is;
+``SpanReport.witness_component`` is its one pair view.
 
 Witnesses are greedy covering walks inside the winning component: from its
 smallest pair, repeatedly walk to the nearest member that adds a vertex
@@ -49,15 +52,30 @@ from .product import (  # noqa: F401
 class SpanReport:
     """Span value under one rule, with the pair component achieving it.
 
-    The smallest base-graph distance over the component's pairs is
-    ``value`` itself: a larger minimum would have qualified at a higher
-    threshold first.
+    ``members`` is the component as the sweep and the witness walk both
+    hold it: a bitmask with bit ``u * n + v`` set for each pair ``(u, v)``.
+    ``witness_component`` is its pair view.  The smallest base-graph
+    distance over the component's pairs is ``value`` itself: a larger
+    minimum would have qualified at a higher threshold first.
     """
 
     graph: Graph
     rule: MovementRule
     value: int
-    witness_component: tuple[Pair, ...]
+    members: int
+
+    @property
+    def witness_component(self) -> tuple[Pair, ...]:
+        """The component's pairs, in ascending pair order."""
+        return tuple(divmod(i, self.graph.n) for i in _bits(self.members))
+
+    def __repr__(self) -> str:
+        # In hex: a member mask of more than 4,300 decimal digits (P200's
+        # has about 12,000) would make ``repr`` raise ValueError.
+        return (
+            f"SpanReport(graph={self.graph!r}, rule={self.rule!r},"
+            f" value={self.value}, members={self.members:#x})"
+        )
 
 
 @dataclass(frozen=True)
@@ -131,6 +149,7 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     covering = (1 << 2 * n) - 1
     parent = list(range(n * n))
     comps: dict[int, tuple[int, int, int]] = {}  # root -> (size, members, cover)
+    # size repeats members.bit_count(); recounting made the sweep ~15% slower.
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -161,8 +180,7 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
         qualifying = [members for _, members, cover in touched if cover == covering]
         if qualifying:
             winner = min(qualifying, key=lambda m: m & -m)
-            component = tuple(divmod(i, n) for i in _bits(winner))
-            return SpanReport(g, rule, r, component)
+            return SpanReport(g, rule, r, winner)
     raise AssertionError("threshold 0 must always admit a covering component")
 
 
@@ -188,15 +206,14 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
     graph of order <= 6, or of 1,300 seeded random graphs of order 6..20,
     needs it; a hand-built component can (``tests/test_span_sweep.py``).
     """
-    component = report.witness_component
-    if not component:
+    members = report.members
+    if not members:
         raise ValueError("witness component is empty")
 
     n = report.graph.n
     step = pair_neighbors(report.graph, report.rule)
-    members = sum(1 << (u * n + v) for u, v in component)
-    root = component[0][0] * n + component[0][1]
-    bound = 2 * len(component) - 1
+    root = (members & -members).bit_length() - 1
+    bound = 2 * members.bit_count() - 1
 
     # Bit u * n + v of ``fresh_f`` (``fresh_g``) is set while vertex u (v)
     # is still missing from the f-walk (g-walk).

@@ -2,7 +2,8 @@
 
 Two interchange formats are supported: a plain edge-list text format
 (header ``n <count>``, one ``u v`` pair per line, ``#`` comments) and the
-standard graph6 one-liner (short form, n <= 62).  Witness walks render to
+standard graph6 one-liner (the short form up to 62 vertices, the long form,
+``~`` and three 6-bit size bytes, from 63).  Witness walks render to
 DOT with the base graph as undirected edges and the two actors' moves as
 red/blue numbered arrows.
 """
@@ -17,7 +18,7 @@ from .errors import (
     LengthMismatchError,
     TooLargeError,
 )
-from .graph import Graph
+from .graph import MAX_ORDER, Graph
 
 
 # -- edge-list format ---------------------------------------------------------
@@ -62,59 +63,69 @@ def emit_edge_list(g: Graph) -> str:
 # -- graph6 format ------------------------------------------------------------
 
 
-def _bit_count(n: int) -> int:
-    return n * (n - 1) // 2
+def _slots(n: int) -> list[tuple[int, int]]:
+    """Edge slots in graph6 column order: (0,1), (0,2), (1,2), (0,3), ..."""
+    return [(u, v) for v in range(1, n) for u in range(v)]
+
+
+def _sextets(text: str, what: str) -> list[int]:
+    """The 6-bit values of graph6 bytes (characters 63..126)."""
+    values = [ord(ch) - 63 for ch in text]
+    for ch, val in zip(text, values):
+        if not 0 <= val <= 63:
+            raise BadCharError(f"bad {what} byte {ch!r}")
+    return values
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode a short-form graph6 line (n <= 62)."""
+    """Decode a graph6 line, short form (n <= 62) or long form (``~`` and
+    three 6-bit bytes).  An order over ``graph.MAX_ORDER`` is refused from
+    the header alone."""
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise BadCharError("empty graph6 line")
-    first = ord(s[0])
-    if first == 126:
-        raise BadCharError("long-form graph6 (n > 62) is not supported")
-    if not 63 <= first <= 125:
-        raise BadCharError(f"bad size byte {s[0]!r}")
-    n = first - 63
+    if s.startswith("~~"):
+        raise TooLargeError(
+            f"graph6 '~~' header names an order of at least 258048, over {MAX_ORDER}"
+        )
+    if s[0] == "~":
+        if len(s) < 4:
+            raise BadCharError("truncated long-form graph6 header")
+        a, b, c = _sextets(s[1:4], "size")
+        n = a << 12 | b << 6 | c
+        body = s[4:]
+    else:
+        (n,) = _sextets(s[0], "size")
+        body = s[1:]
+    if n > MAX_ORDER:
+        raise TooLargeError(f"graph6 order {n} is over {MAX_ORDER}, the order cap")
 
-    body = s[1:]
-    need = (_bit_count(n) + 5) // 6
+    slots = _slots(n)
+    need = (len(slots) + 5) // 6
     if len(body) != need:
         raise LengthMismatchError(
             f"graph6 body for n={n} needs {need} bytes, got {len(body)}"
         )
-    bits: list[int] = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise BadCharError(f"bad data byte {ch!r}")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-
-    m = _bit_count(n)
-    if any(bits[m:]):
+    bits = [
+        val >> shift & 1 for val in _sextets(body, "data") for shift in range(5, -1, -1)
+    ]
+    if any(bits[len(slots):]):
         raise LengthMismatchError("nonzero padding bits")
-    edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    return Graph(n, edges)
+    return Graph(n, [slot for slot, bit in zip(slots, bits) if bit])
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode ``g`` as a short-form graph6 line."""
-    if g.n > 62:
-        raise TooLargeError(f"graph6 short form caps at 62 vertices, got {g.n}")
-    bits = [
-        1 if g.has_edge(u, v) else 0 for v in range(1, g.n) for u in range(v)
-    ]
+    """Encode ``g`` as a graph6 line: the short form up to 62 vertices, the
+    long form (``~`` and three 6-bit bytes) from 63."""
+    n = g.n
+    masks = g._masks
+    bits = [masks[v] >> u & 1 for u, v in _slots(n)]
     bits += [0] * (-len(bits) % 6)
-    chars = [chr(63 + g.n)]
+    # The long form's first byte, 63 + 63, is "~".
+    size = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    chars = [chr(63 + val) for val in size]
     for i in range(0, len(bits), 6):
         val = 0
         for b in bits[i : i + 6]:

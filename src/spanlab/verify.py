@@ -27,7 +27,7 @@ from .engine import (
 )
 from .errors import DisconnectedError, OrderTooSmallError, TooLargeError
 from .graph import Graph, _bfs_row, bridges
-from .io import emit_graph6, parse_graph6
+from .io import _slots, emit_graph6, parse_graph6
 from .product import MovementRule
 
 ORACLE_MAX_N = 7
@@ -124,11 +124,6 @@ def _coverable(g: Graph, r: int, rule: MovementRule) -> bool:
 
 
 # -- exhaustive enumeration -------------------------------------------------------
-
-
-def _slots(n: int) -> list[tuple[int, int]]:
-    """Edge slots in graph6 column order: (0,1), (0,2), (1,2), (0,3), ..."""
-    return [(u, v) for v in range(1, n) for u in range(v)]
 
 
 @lru_cache(maxsize=None)

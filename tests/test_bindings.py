@@ -36,15 +36,47 @@ def _unresolved(names):
     ]
 
 
-def test_traced_layers_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location(
         "bench_tracing", ROOT / "bench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_layers_resolve():
+    tracing = _load_tracing()
     layers = [(module, attr) for module, attr, _ in tracing._LAYERS]
     assert layers
     assert _unresolved(layers) == []
+
+
+def test_tracer_counters_read_live_results():
+    # Each counter reads attributes of spanlab's arguments and results
+    # (``len(report.witness_component)`` among them); run every one on the
+    # real objects so that a renamed or reshaped attribute fails here.
+    from spanlab.engine import compute_span, extract_witness_tracks
+    from spanlab.families import paramecium_graph
+    from spanlab.product import MovementRule, build_pair_graph
+
+    g = paramecium_graph(5)
+    report = compute_span(g, MovementRule.LAZY)
+    tracks = extract_witness_tracks(report)
+    calls = {
+        "engine.compute_span": ((g, MovementRule.LAZY), report),
+        "engine.extract_witness_tracks": ((report,), tracks),
+        "product.build_pair_graph": (
+            (g, MovementRule.LAZY, report.value),
+            build_pair_graph(g, MovementRule.LAZY, report.value),
+        ),
+    }
+    counters = _load_tracing()._COUNTERS
+    assert sorted(counters) == sorted(calls)
+    for name, count in counters.items():
+        values = count(*calls[name])
+        assert values, name
+        assert all(type(v) is int and v >= 0 for v in values.values()), (name, values)
 
 
 def test_workload_names_resolve():

@@ -8,7 +8,7 @@ import pytest
 
 from spanlab.cli import main
 from spanlab.families import named_graph, paramecium_graph
-from spanlab.io import emit_edge_list, emit_graph6
+from spanlab.io import emit_edge_list, emit_graph6, parse_graph6
 
 from conftest import decode_graph6_by_strings
 
@@ -77,6 +77,22 @@ class TestSpan:
         path.write_text("n 99999999999\n")
         proc = subprocess.run(
             [sys.executable, "-m", "spanlab.cli", command, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+
+    def test_graph6_header_over_cap_exits_4(self, tmp_path):
+        # "~?_@" is a long-form header naming order 2049, one over the cap;
+        # it exits 4 before the missing body is looked at.
+        path = tmp_path / "huge.g6"
+        path.write_text("~?_@\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", "span", str(path)],
             capture_output=True,
             text=True,
             timeout=20,
@@ -471,6 +487,24 @@ class TestVerifyCommands:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+
+    def test_random_long_form_graph6_orders(self, tmp_path):
+        # Orders 63 and 64 need the long graph6 form in their records; the
+        # short form's 62-vertex cap used to end the run with exit 4.
+        records = tmp_path / "records.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", "verify-random", "--count", "2",
+             "--n-min", "63", "--n-max", "64", "--jobs", "1", "--records", str(records)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = records.read_text().splitlines()
+        assert len(lines) == 2
+        sixes = [line.split()[0].removeprefix("graph6=") for line in lines]
+        assert all(six.startswith("~") for six in sixes)
+        assert {parse_graph6(six).n for six in sixes} <= {63, 64}
 
     def test_random_negative_count_exits_2(self, capsys):
         assert main(["verify-random", "--count", "-3"]) == 2

@@ -140,6 +140,12 @@ class TestComputeSpan:
         g = named_graph("fig1")
         assert compute_span(g, T) == compute_span(g, T)
 
+    def test_repr_of_a_large_member_mask(self):
+        # P130's strong-rule mask spans 16,900 pair bits, about 5,100
+        # decimal digits: over the 4,300 that int-to-decimal conversion allows.
+        report = compute_span(path_graph(130), T)
+        assert f"members={report.members:#x})" in repr(report)
+
 
 class TestExtractWitness:
     def test_k2_active_swap(self):
@@ -172,10 +178,16 @@ class TestExtractWitness:
             assert tracks.length <= 2 * len(report.witness_component) - 1
 
     def test_non_covering_component_raises(self):
-        # (0, 1) alone never puts vertex 1 in Alice's walk, and the search
-        # for it finds no member to step to.
-        report = SpanReport(Graph(2, [(0, 1)]), A, 1, ((0, 1),))
+        # (0, 1) alone, pair index 0 * 2 + 1, never puts vertex 1 in
+        # Alice's walk, and the search for it finds no member to step to.
+        report = SpanReport(Graph(2, [(0, 1)]), A, 1, 1 << 1)
+        assert report.witness_component == ((0, 1),)
         with pytest.raises(ValueError, match="cover"):
+            extract_witness_tracks(report)
+
+    def test_empty_component_raises(self):
+        report = SpanReport(Graph(2, [(0, 1)]), A, 1, 0)
+        with pytest.raises(ValueError, match="empty"):
             extract_witness_tracks(report)
 
     @pytest.mark.parametrize("rule", (T, A, L), ids=lambda r: r.value)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given
 
@@ -12,8 +13,9 @@ from spanlab.errors import (
     EdgeListSyntaxError,
     InvalidTracksError,
     LengthMismatchError,
+    TooLargeError,
 )
-from spanlab.families import cycle_graph, named_graph
+from spanlab.families import cycle_graph, named_graph, path_graph
 from spanlab.graph import Graph
 from spanlab.io import (
     emit_edge_list,
@@ -127,13 +129,36 @@ class TestGraph6:
         assert parse_graph6(emit_graph6(g)) == g
 
     def test_size_boundary(self):
-        from spanlab.errors import TooLargeError
-        from spanlab.families import path_graph
+        # Order 62 is the last short form, one size byte; order 63 is the
+        # first long form, "~" and three size bytes.
+        short = emit_graph6(path_graph(62))
+        assert short[0] == chr(63 + 62) and len(short) == 1 + (62 * 61 // 2 + 5) // 6
+        assert parse_graph6(short) == path_graph(62)
+        long = emit_graph6(path_graph(63))
+        assert long[:4] == "~??~" and len(long) == 4 + (63 * 62 // 2 + 5) // 6
+        assert parse_graph6(long) == path_graph(63)
 
-        line = emit_graph6(path_graph(62))
-        assert parse_graph6(line) == path_graph(62)
+    @pytest.mark.parametrize("n", [62, 63, 64, 100, 300])
+    def test_matches_networkx(self, n):
+        graphs = [path_graph(n), cycle_graph(n), *random_graphs(2, (n, n), 0.05, seed=n)]
+        for g in graphs:
+            reference = nx.Graph()
+            reference.add_nodes_from(range(n))
+            reference.add_edges_from(g.edges())
+            line = emit_graph6(g)
+            assert line == nx.to_graph6_bytes(reference, header=False).strip().decode()
+            assert parse_graph6(line) == g
+
+    @pytest.mark.parametrize(
+        "line",
+        # Orders 2049 and 4095 in the long form, with no body: the header
+        # alone is refused.  Any "~~" header names an order of 258,048 or
+        # more.
+        ["~?_@", "~?~~", "~~" + "?" * 6, "~~"],
+    )
+    def test_header_over_order_cap(self, line):
         with pytest.raises(TooLargeError):
-            emit_graph6(path_graph(63))
+            parse_graph6(line)
 
 
 FIG1_WALKS = TrackPair(f=(3, 4, 5, 0, 1, 2), g=(0, 1, 3, 2, 5, 4), rule=MovementRule.ACTIVE)

@@ -40,9 +40,12 @@ from spanlab.verify import RULES, enumerate_connected, random_graphs
 
 def reference_span(g, rule: MovementRule) -> SpanReport:
     for r in range(g.radius, -1, -1):
-        qualifying = components_with_double_surjectivity(build_pair_graph(g, rule, r))
+        pg = build_pair_graph(g, rule, r)
+        qualifying = components_with_double_surjectivity(pg)
         if qualifying:
-            return SpanReport(g, rule, r, qualifying[0])
+            first = pg.index(*qualifying[0][0])
+            members = next(m for m in pg.component_masks() if m >> first & 1)
+            return SpanReport(g, rule, r, members)
     raise AssertionError("threshold 0 must always admit a covering component")
 
 
@@ -184,7 +187,8 @@ def test_greedy_walk_falls_back_to_closed_dfs(rule):
     # nearest-first exploration of the base graph.
     g = Graph(10, FALLBACK_EDGES)
     component = tuple((u, u) for u in range(g.n))
-    report = SpanReport(g, rule, 0, component)
+    report = SpanReport(g, rule, 0, sum(1 << (u * g.n + u) for u in range(g.n)))
+    assert report.witness_component == component
     pg = build_pair_graph(g, rule, 0)
     assert len(reference_greedy(pg, component)) == 21
 
@@ -207,10 +211,9 @@ def test_closed_dfs_matches_reference_on_every_small_witness(rule):
     for g in graphs:
         report = compute_span(g, rule)
         component = report.witness_component
-        n = g.n
-        members = sum(1 << (u * n + v) for u, v in component)
-        root = component[0][0] * n + component[0][1]
-        walk = [divmod(i, n) for i in _closed_dfs(pair_neighbors(g, rule), members, root)]
+        members = report.members
+        root = (members & -members).bit_length() - 1
+        walk = [divmod(i, g.n) for i in _closed_dfs(pair_neighbors(g, rule), members, root)]
         if walk != reference_closed_dfs(build_pair_graph(g, rule, report.value), component):
             mismatches.append(f"{g.edges()}: walks differ")
             continue
@@ -219,5 +222,27 @@ def test_closed_dfs_matches_reference_on_every_small_witness(rule):
         check = validate_tracks(g, tracks)
         assert check.conforms and check.surjective_f and check.surjective_g
         assert check.min_distance == report.value
+    assert len(graphs) == 772
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
+def test_members_mask_is_the_walked_component(rule):
+    # ``members`` is the one stored form of the winning component: its pair
+    # view, the walk's start and the reference descent's component all
+    # read the same bits.
+    mismatches = []
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    for g in graphs:
+        report = compute_span(g, rule)
+        members = report.members
+        tracks = extract_witness_tracks(report)
+        start = tracks.f[0] * g.n + tracks.g[0]
+        if not (
+            members.bit_count() == len(report.witness_component)
+            and members & -members == 1 << start
+            and members == reference_span(g, rule).members
+        ):
+            mismatches.append(g.edges())
     assert len(graphs) == 772
     assert mismatches == []
