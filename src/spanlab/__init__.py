@@ -49,12 +49,7 @@ from .io import (
     parse_edge_list,
     parse_graph6,
 )
-from .product import (
-    MovementRule,
-    PairGraph,
-    build_pair_graph,
-    components_with_double_surjectivity,
-)
+from .product import MovementRule
 from .verify import (
     EnumerationReport,
     GraphRecord,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from . import families, io, verify
@@ -36,7 +37,7 @@ def _read_graph(path: str, fmt: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Exit(2, f"cannot read {path}: {exc}") from exc
     if fmt == "auto":
         fmt = "graph6" if path.endswith(".g6") else "edgelist"
@@ -83,21 +84,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_families(args: argparse.Namespace) -> int:
-    caps = {
-        "path": args.max_path,
-        "cycle": args.max_cycle,
-        "hypercube": args.max_hypercube,
-        "complete_bipartite": args.max_biclique,
-        "complete": args.max_complete,
-        "star": args.max_complete,
-        "wheel": args.max_complete,
-        "paramecium": args.max_paramecium,
-        "binary_tree": args.max_tree_height,
-    }
     mismatches = 0
     rows = 0
     for spec in families.default_family_sweep():
-        cap = caps[spec.kind]
+        cap = getattr(args, "max_" + spec.cap.replace("-", "_"))
         if spec.n > cap or (spec.m is not None and spec.m > cap):
             continue
         g = families.generate(spec)
@@ -126,12 +116,21 @@ def _cmd_families(args: argparse.Namespace) -> int:
     return 1 if mismatches else 0
 
 
-def _finish_verify(report: verify.EnumerationReport, args: argparse.Namespace) -> int:
-    for line in report.summary_lines():
-        print(line)
-    if args.records:
-        with open(args.records, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(report.record_lines()) + "\n")
+def _sweep(corpus: list[Graph], args: argparse.Namespace) -> int:
+    """Check a corpus and print its summary.  The records file is opened
+    first, so an unwritable path fails before the sweep runs."""
+    try:
+        records = open(args.records, "w", encoding="utf-8") if args.records else None
+    except OSError as exc:
+        raise _Exit(2, f"cannot write {args.records}: {exc}") from exc
+    with records or nullcontext():
+        report = verify.check_theorems(
+            corpus, jobs=args.jobs, check_witnesses=args.witnesses
+        )
+        for line in report.summary_lines():
+            print(line)
+        if records is not None:
+            records.write("\n".join(report.record_lines()) + "\n")
     return 1 if report.counterexamples else 0
 
 
@@ -142,10 +141,7 @@ def _cmd_verify_enumerate(args: argparse.Namespace) -> int:
         raise _Exit(4, str(exc)) from exc
     except ValueError as exc:
         raise _Exit(2, str(exc)) from exc
-    report = verify.check_theorems(
-        corpus, jobs=args.jobs, check_witnesses=args.witnesses
-    )
-    return _finish_verify(report, args)
+    return _sweep(corpus, args)
 
 
 def _cmd_verify_random(args: argparse.Namespace) -> int:
@@ -162,10 +158,7 @@ def _cmd_verify_random(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _Exit(2, str(exc)) from exc
-    report = verify.check_theorems(
-        corpus, jobs=args.jobs, check_witnesses=args.witnesses
-    )
-    return _finish_verify(report, args)
+    return _sweep(corpus, args)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -253,13 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("families", help="sweep the graph families against their closed-form spans")
-    p.add_argument("--max-path", type=int, default=10)
-    p.add_argument("--max-cycle", type=int, default=10)
-    p.add_argument("--max-hypercube", type=int, default=4)
-    p.add_argument("--max-biclique", type=int, default=4)
-    p.add_argument("--max-complete", type=int, default=8)
-    p.add_argument("--max-paramecium", type=int, default=9)
-    p.add_argument("--max-tree-height", type=int, default=4)
+    for cap, top in families.sweep_caps().items():
+        p.add_argument(f"--max-{cap}", type=int, default=top)
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=_cmd_families)
 

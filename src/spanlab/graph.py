@@ -62,17 +62,9 @@ class Graph:
     admitted.
     """
 
-    __slots__ = (
-        "n",
-        "labels",
-        "_adj",
-        "_masks",
-        "_edges",
-        "_dist",
-        "_ecc",
-        "_radius",
-        "_diameter",
-    )
+    # ``_masks`` answers bit tests and ``_adj`` iteration; the edge list,
+    # edge count, radius and diameter are derived from them on demand.
+    __slots__ = ("n", "labels", "_adj", "_masks", "_dist", "_ecc")
 
     def __init__(
         self,
@@ -84,7 +76,6 @@ class Graph:
             raise EmptyGraphError(f"need at least one vertex, got n={n}")
         if n > MAX_ORDER:
             raise TooLargeError(f"order {n} is over {MAX_ORDER}, the order cap")
-        seen: set[Edge] = set()
         masks = [0] * n
         for e in edges:
             u, v = e
@@ -92,10 +83,9 @@ class Graph:
                 raise VertexOutOfRangeError(f"edge {e} outside 0..{n - 1}")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if masks[u] >> v & 1:
+                key = (u, v) if u < v else (v, u)
                 raise DuplicateEdgeError(f"edge {key} given more than once")
-            seen.add(key)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         if labels is not None:
@@ -121,21 +111,18 @@ class Graph:
         self.labels = labels
         self._masks = tuple(masks)
         self._adj = tuple(tuple(_bits(m)) for m in masks)
-        self._edges = tuple(sorted(seen))
         self._dist = tuple(rows)
         self._ecc = tuple(max(row) for row in rows)
-        self._radius = min(self._ecc)
-        self._diameter = max(self._ecc)
 
     # -- basic accessors -------------------------------------------------
 
     def edges(self) -> tuple[Edge, ...]:
         """All edges as (u, v) with u < v, sorted."""
-        return self._edges
+        return tuple((u, v) for u, row in enumerate(self._adj) for v in row if u < v)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj)) // 2
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         self._check_vertex(u)
@@ -167,11 +154,11 @@ class Graph:
 
     @property
     def radius(self) -> int:
-        return self._radius
+        return min(self._ecc)
 
     @property
     def diameter(self) -> int:
-        return self._diameter
+        return max(self._ecc)
 
     def _check_vertex(self, u: int) -> None:
         if not (0 <= u < self.n):
@@ -181,17 +168,13 @@ class Graph:
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same vertex count and edge set (labels ignored)."""
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._edges == other._edges
-        )
+        return isinstance(other, Graph) and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash(self._masks)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self._edges)})"
+        return f"Graph(n={self.n}, m={self.edge_count})"
 
 
 def _bfs_row(masks: Sequence[int], n: int, source: int) -> tuple[list[int], int]:

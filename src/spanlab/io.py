@@ -153,7 +153,8 @@ def emit_witness_dot(g: Graph, tracks: TrackPair) -> str:
     lines = ["digraph witness {"]
     for v in range(g.n):
         if g.labels is not None:
-            lines.append(f'  {v} [label="{g.label(v)}"];')
+            label = g.label(v).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")
     for u, v in g.edges():

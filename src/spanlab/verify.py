@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 from typing import Iterable, Iterator
 
@@ -27,7 +27,7 @@ from .engine import (
 )
 from .errors import DisconnectedError, OrderTooSmallError, TooLargeError
 from .graph import Graph, _bfs_row, bridges
-from .io import _slots, emit_graph6, parse_graph6
+from .io import _slots, emit_graph6
 from .product import MovementRule
 
 ORACLE_MAX_N = 7
@@ -413,11 +413,6 @@ def _witness_holds(val: TrackValidation, floor: int, exact: bool = False) -> boo
     )
 
 
-def _record_worker(args: tuple[str, bool, int]) -> GraphRecord:
-    g6, check_witnesses, oracle_max_n = args
-    return check_graph(parse_graph6(g6), check_witnesses, oracle_max_n)
-
-
 def clamp_jobs(jobs: int, cpus: int, corpus_size: int) -> int:
     """Worker count for a sweep: ``jobs`` held to ``[1, min(cpus, corpus_size)]``.
 
@@ -436,7 +431,7 @@ def check_theorems(
     """Sweep a corpus; the merge is ordered, so output is independent of ``jobs``.
 
     ``jobs`` defaults to the CPU count and is clamped by ``clamp_jobs``.  One
-    worker checks the graphs in this process; more get them as graph6 lines
+    worker checks the graphs in this process; more get the pickled graphs
     through a fork pool.  An ``oracle_max_n`` over ``ORACLE_MAX_N`` raises
     ``ValueError`` before any graph is checked.
     """
@@ -453,6 +448,6 @@ def check_theorems(
         )
     import multiprocessing as mp
 
-    payload = [(emit_graph6(g), check_witnesses, oracle_max_n) for g in corpus]
+    check = partial(check_graph, check_witnesses=check_witnesses, oracle_max_n=oracle_max_n)
     with mp.get_context("fork").Pool(workers) as pool:
-        return EnumerationReport(list(pool.imap(_record_worker, payload, chunksize=64)))
+        return EnumerationReport(list(pool.imap(check, corpus, chunksize=64)))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from spanlab import families, verify
 from spanlab.cli import main
 from spanlab.families import named_graph, paramecium_graph
 from spanlab.io import emit_edge_list, emit_graph6, parse_graph6
@@ -101,6 +102,20 @@ class TestSpan:
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["span"], ["witness", "--rule", "strong"], ["bounds"]])
+    def test_non_utf8_file_exits_2(self, command, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"n 2\n0 1 # caf\xe9\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", command[0], str(path), *command[1:]],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("spanlab: cannot read") and proc.stderr.count("\n") == 1
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["span", "/nonexistent/x.txt"]) == 2
@@ -426,6 +441,17 @@ class TestFamilies:
         assert "family=P_2" in out and "pass=1" in out
 
 
+    def test_added_family_row_gets_option_and_rows(self, monkeypatch, capsys):
+        line = families._FAMILIES["path"]._replace(token="L", sweep_top=4, cap="line")
+        monkeypatch.setitem(families._FAMILIES, "line", line)
+        assert main(["families", "--max-line", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "L_2 " in out and "L_3 " in out and "L_4 " not in out
+        assert out.endswith("PASS 58/58 rows match\n")
+        assert main(["families", "--machine"]) == 0
+        assert "family=L_4 " in capsys.readouterr().out
+
+
 class TestVerifyCommands:
     def test_enumerate_n4(self, capsys):
         assert main(["verify-enumerate", "--n", "4", "--jobs", "1"]) == 0
@@ -452,6 +478,18 @@ class TestVerifyCommands:
         lines = records.read_text().strip().splitlines()
         assert len(lines) == 4
         assert all(line.startswith("graph6=") for line in lines)
+
+    @pytest.mark.parametrize("command", [["verify-enumerate", "--n", "3"], ["verify-random", "--count", "3"]])
+    @pytest.mark.parametrize("target", ["missing/records.txt", "."])
+    def test_unwritable_records_exits_2_before_sweep(self, command, target, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(verify, "check_theorems", fail)
+        assert main([*command, "--records", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spanlab: cannot write") and captured.err.count("\n") == 1
 
     def test_random_small(self, capsys):
         assert (

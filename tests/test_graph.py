@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 
@@ -65,6 +68,28 @@ class TestBuildGraph:
         g = Graph(2, [(0, 1)], labels=["a", "b"])
         assert g.label(0) == "a" and g.label(1) == "b"
         assert Graph(2, [(0, 1)]).label(1) == "1"
+
+    def test_edges_are_the_sorted_normalised_input(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            n = rng.randint(2, 12)
+            tree = [(rng.randrange(v), v) for v in range(1, n)]
+            extra = [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.3]
+            edges = list(set(tree) | set(extra))
+            rng.shuffle(edges)
+            given_edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            g = Graph(n, given_edges)
+            assert g.edges() == tuple(sorted(edges))
+            assert g.edge_count == len(edges)
+
+    def test_pickle_round_trip_keeps_everything(self):
+        g = Graph(6, FIG1_EDGES, labels=["u1", "u2", "u3", "u4", "u5", "u6"])
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g)
+        assert back.labels == g.labels
+        assert back.distances == g.distances
+        assert (back.radius, back.diameter) == (g.radius, g.diameter)
+        assert back.edges() == g.edges()
 
 
 class TestDistances:

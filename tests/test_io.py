@@ -172,6 +172,12 @@ class TestWitnessDot:
         assert dot.count("color=blue") == 5
         assert 'label="u1"' in dot
 
+    def test_labels_escaped(self):
+        g = Graph(2, [(0, 1)], labels=['a"b', "c\\"])
+        dot = emit_witness_dot(g, TrackPair((0,), (1,), MovementRule.TRADITIONAL))
+        assert '  0 [label="a\\"b"];' in dot
+        assert '  1 [label="c\\\\"];' in dot
+
     def test_k1_single_node_no_arrows(self):
         g = Graph(1, [])
         dot = emit_witness_dot(g, TrackPair((0,), (0,), MovementRule.TRADITIONAL))

@@ -262,9 +262,10 @@ class TestCheckTheorems:
         # A one-graph corpus gets one worker at jobs=2, in this process.
         full = list(enumerate_connected(4))
         for corpus in (full, full[:1]):
-            seq = check_theorems(corpus, jobs=1)
-            par = check_theorems(corpus, jobs=2)
-            assert [r.to_line() for r in seq.records] == [r.to_line() for r in par.records]
+            for witnesses in (False, True):
+                seq = check_theorems(corpus, jobs=1, check_witnesses=witnesses)
+                par = check_theorems(corpus, jobs=2, check_witnesses=witnesses)
+                assert [r.to_line() for r in seq.records] == [r.to_line() for r in par.records]
 
 
 class TestClampJobs:
