@@ -183,18 +183,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-# Characters of an unknown token quoted back; the rest is elided.
-_TOKEN_SHOWN = 32
-
-
 def _graph_for_token(token: str) -> Graph:
     if token in families.NAMED_GRAPH_IDS:
         return families.named_graph(token)
     spec = families.spec_for_token(token)
     if spec is None:
-        shown = token if len(token) <= _TOKEN_SHOWN else token[:_TOKEN_SHOWN] + "..."
         raise UnknownGraphIdError(
-            f"unknown graph {shown!r}; see 'spanlab named --list'"
+            f"unknown graph {io.quoted(token)}; see 'spanlab named --list'"
             " or use a family token like P5, C6, Q3, K5, K3_4, S4, W5, PC5, BT3"
         )
     return families.generate(spec)

@@ -158,14 +158,18 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
 
     live = 0
     for r in range(top, -1, -1):
-        bucket = buckets[r]
-        for i in bucket:
-            live |= 1 << i
+        won = []  # roots of covering components, all new in this bucket
+        for i in buckets[r]:
+            bit = 1 << i
+            live |= bit
             u, v = divmod(i, n)
-            root, size, members, cover = i, 1, 1 << i, 1 << u | 1 << (n + v)
+            root, size, members, cover = i, 1, bit, 1 << u | 1 << (n + v)
             todo = step(i) & live
+            # Read the top bit and clear with ``todo ^ (todo & members)``:
+            # ``todo & -todo`` and ``~members`` would each negate, copying
+            # the whole n*n-bit mask once more per neighbouring component.
             while todo:
-                other = find((todo & -todo).bit_length() - 1)
+                other = find(todo.bit_length() - 1)
                 other_size, other_members, other_cover = comps.pop(other)
                 if other_size > size:
                     root, other = other, root
@@ -173,12 +177,13 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                 size += other_size
                 members |= other_members
                 cover |= other_cover
-                todo &= ~members
+                todo ^= todo & members
             comps[root] = (size, members, cover)
+            if cover == covering:
+                won.append(root)
 
-        touched = [comps[root] for root in {find(i) for i in bucket}]
-        qualifying = [members for _, members, cover in touched if cover == covering]
-        if qualifying:
+        if won:
+            qualifying = [comps[root][1] for root in {find(root) for root in won}]
             winner = min(qualifying, key=lambda m: m & -m)
             return SpanReport(g, rule, r, winner)
     raise AssertionError("threshold 0 must always admit a covering component")

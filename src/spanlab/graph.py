@@ -48,7 +48,10 @@ def _levels(step: Callable[[int], int], source: int, within: int) -> Iterator[in
         yield level
         unseen ^= level
         reached = 0
-        for i in _bits(level):
+        rest = level  # read from the top bit: ``_bits`` negates per node
+        while rest:
+            i = rest.bit_length() - 1
+            rest ^= 1 << i
             reached |= step(i)
         level = reached & unseen
 

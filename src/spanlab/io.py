@@ -17,6 +17,7 @@ from .errors import (
     InvalidTracksError,
     LengthMismatchError,
     TooLargeError,
+    VertexOutOfRangeError,
 )
 from .graph import MAX_ORDER, Graph
 
@@ -24,8 +25,33 @@ from .graph import MAX_ORDER, Graph
 # -- edge-list format ---------------------------------------------------------
 
 
+# Characters of a bad token quoted back in an error; the rest is elided.
+_TOKEN_SHOWN = 32
+
+
+def quoted(token: str) -> str:
+    """``token`` quoted for an error message, cut to ``_TOKEN_SHOWN`` characters."""
+    return repr(token if len(token) <= _TOKEN_SHOWN else token[:_TOKEN_SHOWN] + "...")
+
+
+def _digits(lineno: int, token: str, what: str) -> str:
+    """``token`` without leading zeros, if it is a numeral of ASCII digits.
+
+    ``int`` alone would also take ``1_0``, ``+2`` and full-width digits, and
+    refuse a numeral of more than 4,300 digits with a ValueError.
+    """
+    if not (token.isascii() and token.isdigit()):
+        raise EdgeListSyntaxError(lineno, f"bad {what} {quoted(token)}")
+    return token.lstrip("0") or "0"
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text; syntax errors carry the 1-based line number."""
+    """Parse edge-list text; syntax errors carry the 1-based line number.
+
+    Numbers are ASCII decimal numerals.  A vertex count over
+    ``graph.MAX_ORDER`` raises ``TooLargeError`` at the header, before a
+    numeral too long for ``int`` is converted.
+    """
     n: int | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -35,19 +61,24 @@ def parse_edge_list(text: str) -> Graph:
         parts = line.split()
         if n is None:
             if len(parts) != 2 or parts[0] != "n":
-                raise EdgeListSyntaxError(lineno, f"expected 'n <count>', got {line!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise EdgeListSyntaxError(lineno, f"bad vertex count {parts[1]!r}") from None
+                raise EdgeListSyntaxError(lineno, f"expected 'n <count>', got {quoted(line)}")
+            count = _digits(lineno, parts[1], "vertex count")
+            if len(count) > len(str(MAX_ORDER)) or int(count) > MAX_ORDER:
+                raise TooLargeError(
+                    f"line {lineno}: vertex count {quoted(count)} is over {MAX_ORDER},"
+                    " the order cap"
+                )
+            n = int(count)
             continue
         if len(parts) != 2:
-            raise EdgeListSyntaxError(lineno, f"expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListSyntaxError(lineno, f"bad vertex id in {line!r}") from None
-        edges.append((u, v))
+            raise EdgeListSyntaxError(lineno, f"expected 'u v', got {quoted(line)}")
+        u, v = (_digits(lineno, token, "vertex id") for token in parts)
+        if max(len(u), len(v)) > len(str(MAX_ORDER)):
+            # Over the order cap, so out of range; ``int`` may refuse it.
+            raise VertexOutOfRangeError(
+                f"line {lineno}: vertex id {quoted(max(u, v, key=len))} outside 0..{n - 1}"
+            )
+        edges.append((int(u), int(v)))
     if n is None:
         raise EdgeListSyntaxError(1, "missing 'n <count>' header")
     return Graph(n, edges)

@@ -155,11 +155,13 @@ def pair_neighbors(g: Graph, rule: MovementRule) -> Callable[[int], int]:
             return masks[v] << (u * n) | spread[u] << v
 
     else:
+        # Closed neighbourhoods in both coordinates, minus staying put.
+        closed = [m | 1 << v for v, m in enumerate(masks)]
+        closed_spread = [s | 1 << (u * n) for u, s in enumerate(spread)]
 
         def step(i: int) -> int:
             u, v = divmod(i, n)
-            # Closed neighbourhoods in both coordinates, minus staying put.
-            return (masks[v] | 1 << v) * (spread[u] | 1 << (u * n)) ^ 1 << i
+            return closed[v] * closed_spread[u] ^ 1 << i
 
     return step
 

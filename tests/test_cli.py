@@ -103,6 +103,77 @@ class TestSpan:
         assert proc.stdout == ""
         assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text,line,token",
+        [
+            ("n 1_0\n" + "".join(f"{v} {v + 1}\n" for v in range(9)), 1, "'1_0'"),
+            ("n +2\n0 1\n", 1, "'+2'"),
+            ("n ３\n0 1\n1 2\n", 1, "'３'"),
+            ("n 2\n+0 1\n", 2, "'+0'"),
+            ("n 2\n0 -1\n", 2, "'-1'"),
+            ("n 2\n0 ١\n", 2, "'١'"),
+        ],
+        ids=["underscore", "plus-count", "full-width", "plus-id", "minus-id", "arabic-indic"],
+    )
+    def test_edge_list_numbers_are_ascii_digits(self, tmp_path, text, line, token):
+        # int() reads all of these; the format has plain decimal numerals.
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", "span", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert f"line {line}: bad vertex " in proc.stderr
+        assert proc.stderr.rstrip().endswith(token)
+
+    def test_edge_list_numbers_allow_leading_zeros(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("n 0003\n00 01\n1 002\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", "span", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "rad=1 strong=1 direct=1 cartesian=0\n")
+
+    def test_long_vertex_count_exits_4_with_a_short_line(self, tmp_path):
+        # This used to exit 2: int() refuses numerals over 4,300 digits,
+        # and the whole numeral was quoted back.
+        path = tmp_path / "huge.txt"
+        path.write_text(f"n {'9' * 5000}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", "span", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+        assert len(proc.stderr) < len(str(path)) + 120
+
+    def test_long_vertex_id_exits_2_with_a_short_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(f"n 2\n0 {'9' * 5000}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", "span", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+        assert "line 2: vertex id '999" in proc.stderr
+        assert len(proc.stderr) < len(str(path)) + 120
+
     @pytest.mark.parametrize("command", [["span"], ["witness", "--rule", "strong"], ["bounds"]])
     def test_non_utf8_file_exits_2(self, command, tmp_path):
         path = tmp_path / "latin1.txt"

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 from hypothesis import given
 
 from spanlab.errors import ThresholdTooLargeError
-from spanlab.families import cycle_graph, path_graph
-from spanlab.graph import Graph
+from spanlab.families import cycle_graph, named_graph, path_graph
+from spanlab.graph import Graph, _levels
 from spanlab.product import (
     MovementRule,
     build_pair_graph,
     components_with_double_surjectivity,
+    pair_neighbors,
 )
 from spanlab.verify import enumerate_connected
 
@@ -114,6 +116,59 @@ class TestBuildPairGraph:
             pg = build_pair_graph(cycle_graph(5), rule, 0)
             for u, v in pg.pairs():
                 assert not pg.has_edge((u, v), (u, v))
+
+
+def small_graphs_and_fig1():
+    return [g for n in range(1, 5) for g in enumerate_connected(n)] + [named_graph("fig1")]
+
+
+def defined_step(g, rule, u, v):
+    """The pairs one ``rule`` step from ``(u, v)``, from the rule's definition."""
+    closed_u, closed_v = {u, *g.neighbors(u)}, {v, *g.neighbors(v)}
+    if rule is MovementRule.TRADITIONAL:
+        return {(a, b) for a in closed_u for b in closed_v} - {(u, v)}
+    if rule is MovementRule.ACTIVE:
+        return {(a, b) for a in g.neighbors(u) for b in g.neighbors(v)}
+    return {(a, v) for a in g.neighbors(u)} | {(u, b) for b in g.neighbors(v)}
+
+
+class TestPairNeighbors:
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.value)
+    def test_step_matches_the_rule_definition(self, rule):
+        graphs = small_graphs_and_fig1()
+        for g in graphs:
+            n = g.n
+            step = pair_neighbors(g, rule)
+            for u in range(n):
+                for v in range(n):
+                    mask = step(u * n + v)
+                    got = {divmod(i, n) for i in range(mask.bit_length()) if mask >> i & 1}
+                    assert got == defined_step(g, rule, u, v), (g.edges(), u, v)
+        assert len(graphs) == 1 + 1 + 4 + 38 + 1
+
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.value)
+    def test_levels_are_breadth_first_distances(self, rule):
+        # The k-th level from a pair holds the pairs at distance k from it
+        # in the pair graph, at every threshold.
+        for g in small_graphs_and_fig1():
+            step = pair_neighbors(g, rule)
+            for r in range(g.radius + 1):
+                pg = build_pair_graph(g, rule, r)
+                within = sum(1 << pg.index(u, v) for u, v in pg.pairs())
+                nxg = nx.Graph()
+                nxg.add_nodes_from(pg.pairs())
+                nxg.add_edges_from((p, q) for p in pg.pairs() for q in pg.neighbors(*p))
+                for source in pg.pairs():
+                    expected: dict[int, set] = {}
+                    for pair, d in nx.single_source_shortest_path_length(nxg, source).items():
+                        if d:
+                            expected.setdefault(d, set()).add(pair)
+                    levels = _levels(step, pg.index(*source), within)
+                    got = {
+                        k: {pg.pair_of(i) for i in range(level.bit_length()) if level >> i & 1}
+                        for k, level in enumerate(levels, start=1)
+                    }
+                    assert got == expected, (g.edges(), rule, r, source)
 
 
 class TestComponents:

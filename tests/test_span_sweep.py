@@ -9,6 +9,8 @@ exactly the same reports and walks, not merely equally valid ones.
 
 from __future__ import annotations
 
+import hashlib
+import random
 import time
 
 import pytest
@@ -124,8 +126,34 @@ def reference_tracks(report: SpanReport) -> TrackPair:
     return TrackPair(tuple(u for u, _ in walk), tuple(v for _, v in walk), report.rule)
 
 
+def relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
 CORPORA = {
     "labelled-order-le-5": lambda: [g for n in range(1, 6) for g in enumerate_connected(n)],
+    # The benchmark's inputs are relabelled, so the sweep merges components
+    # in a label-dependent order there; the other corpora are labelled or tiny.
+    "relabelled": lambda: [
+        relabelled(g, seed)
+        for seed, g in enumerate(
+            [
+                path_graph(24),
+                path_graph(36),
+                cycle_graph(12),
+                complete_bipartite_graph(10, 10),
+                grid_graph(4, 5),
+            ]
+        )
+    ],
     "random": lambda: list(random_graphs(200, (6, 12), 0.3, 11)),
     "families": lambda: [
         path_graph(16),
@@ -246,3 +274,28 @@ def test_members_mask_is_the_walked_component(rule):
             mismatches.append(g.edges())
     assert len(graphs) == 772
     assert mismatches == []
+
+
+# SHA-256 of every (edges, rule, span, members, f, g) below.  A change that
+# moves any span, winning component or witness walk, even to an equally
+# valid one, changes it, and must then update it on purpose.
+GOLDEN_DIGEST = "a6c1e6b228cd8da82891ae59616bcc8c2e937bb3169708ba4dc952aacb1b8931"
+
+
+def golden_digest() -> str:
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    graphs += [relabelled(path_graph(n), n) for n in (16, 24, 36, 44)]
+    graphs += [relabelled(complete_bipartite_graph(k, k), k) for k in (8, 14)]
+    assert len(graphs) == 778
+    digest = hashlib.sha256()
+    for g in graphs:
+        for rule in RULES:
+            report = compute_span(g, rule)
+            tracks = extract_witness_tracks(report)
+            record = (g.edges(), rule.value, report.value, hex(report.members), tracks.f, tracks.g)
+            digest.update(repr(record).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_golden_digest():
+    assert golden_digest() == GOLDEN_DIGEST
