@@ -29,7 +29,6 @@ from .errors import (
     EmptyGraphError,
     InvalidTracksError,
     LengthMismatchError,
-    NotABridgeError,
     NotActiveConformantError,
     NotLazyConformantError,
     OrderTooSmallError,
@@ -41,7 +40,7 @@ from .errors import (
     UnknownGraphIdError,
     VertexOutOfRangeError,
 )
-from .graph import BridgeSplit, Graph, bridges, eccentricity, split_at_bridge
+from .graph import Graph, bridges, eccentricity
 from .io import (
     emit_edge_list,
     emit_graph6,
@@ -57,7 +56,6 @@ from .verify import (
     check_theorems,
     cut_edge_bound,
     enumerate_connected,
-    is_isomorphic,
     oracle_span,
     random_graphs,
 )

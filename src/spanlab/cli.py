@@ -169,15 +169,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         cut_text = "no bridge" if cut is None else str(cut)
     except OrderTooSmallError:
         cut, cut_text = None, "needs at least 3 vertices"
+    ok = strong <= g.radius and (cut is None or strong <= cut)
     if args.machine:
         cut_kv = "none" if cut is None else str(cut)
-        ok = strong <= g.radius and (cut is None or strong <= cut)
         print(f"radius={g.radius} cut_bound={cut_kv} strong={strong} ok={int(ok)}")
     else:
         print(f"radius bound: {g.radius}")
         print(f"cut-edge bound: {cut_text}")
         print(f"strong span: {strong}")
-    if strong > g.radius or (cut is not None and strong > cut):
+    if not ok:
         print("bound violated by computed span", file=sys.stderr)
         return 1
     return 0
@@ -220,6 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "distance for two actors that must each visit every vertex.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    span_names = tuple(rule.span_name for rule in MovementRule)
 
     def add_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", help="graph file (edge list or graph6)")
@@ -232,12 +233,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("span", help="compute span values of a graph file")
     add_input(p)
-    p.add_argument("--rule", choices=("all", "strong", "direct", "cartesian"), default="all")
+    p.add_argument("--rule", choices=("all", *span_names), default="all")
     p.set_defaults(func=_cmd_span)
 
     p = sub.add_parser("witness", help="emit witness walks as DOT (stdout) and a step table (stderr)")
     add_input(p)
-    p.add_argument("--rule", choices=("strong", "direct", "cartesian"), required=True)
+    p.add_argument("--rule", choices=span_names, required=True)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("families", help="sweep the graph families against their closed-form spans")

@@ -25,10 +25,6 @@ class VertexOutOfRangeError(SpanlabError):
     """A vertex id falls outside 0..n-1."""
 
 
-class NotABridgeError(SpanlabError):
-    """The edge is missing or its removal does not disconnect the graph."""
-
-
 class EdgeListSyntaxError(SpanlabError):
     """Malformed edge-list text; carries the 1-based line number."""
 

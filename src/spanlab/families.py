@@ -314,21 +314,6 @@ _NAMED: dict[str, tuple[int, list[tuple[int, int]], tuple[str, ...] | None]] = {
 
 NAMED_GRAPH_IDS = tuple(sorted(_NAMED))
 
-# (direct, cartesian) span pairs of the ten order-5 radius-2 graph classes.
-ORDER5_RADIUS2_SPANS: dict[str, tuple[int, int]] = {
-    "P_5": (1, 0),
-    "C_5": (2, 2),
-    "fig7_a": (1, 1),
-    "fig7_b": (1, 1),
-    "fig7_c": (2, 1),
-    "fig7_d": (2, 1),
-    "fig7_e": (1, 1),
-    "fig7_f": (1, 1),
-    "fig7_g": (2, 1),
-    "fig7_h": (2, 1),
-}
-
-
 def named_graph(graph_id: str) -> Graph:
     """One of the bundled named graphs (see NAMED_GRAPH_IDS)."""
     try:
@@ -338,15 +323,3 @@ def named_graph(graph_id: str) -> Graph:
             f"unknown graph id {graph_id!r}; known: {', '.join(NAMED_GRAPH_IDS)}"
         ) from None
     return Graph(n, edges, labels)
-
-
-def order5_radius2_atlas() -> list[tuple[str, Graph, tuple[int, int]]]:
-    """The ten order-5 radius-2 graphs with their (direct, cartesian) spans."""
-    out: list[tuple[str, Graph, tuple[int, int]]] = [
-        ("P_5", path_graph(5), ORDER5_RADIUS2_SPANS["P_5"]),
-        ("C_5", cycle_graph(5), ORDER5_RADIUS2_SPANS["C_5"]),
-    ]
-    for key in sorted(ORDER5_RADIUS2_SPANS):
-        if key.startswith("fig7_"):
-            out.append((key, named_graph(key), ORDER5_RADIUS2_SPANS[key]))
-    return out

@@ -10,14 +10,12 @@ module is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
     EmptyGraphError,
-    NotABridgeError,
     SelfLoopError,
     TooLargeError,
     VertexOutOfRangeError,
@@ -243,50 +241,3 @@ def bridges(g: Graph) -> list[Edge]:
                         out.append((parent, u) if parent < u else (u, parent))
     out.sort()
     return out
-
-
-@dataclass(frozen=True)
-class BridgeSplit:
-    """The two sides of a removed bridge, relabelled to dense ids.
-
-    ``x``/``y`` are the new ids of the bridge endpoints inside their own
-    side; ``map_x``/``map_y`` send new ids back to the original vertices.
-    """
-
-    side_x: Graph
-    side_y: Graph
-    x: int
-    y: int
-    map_x: tuple[int, ...]
-    map_y: tuple[int, ...]
-
-
-def split_at_bridge(g: Graph, edge: Edge) -> BridgeSplit:
-    """Split ``g`` along a bridge into the two induced side graphs."""
-    x, y = edge
-    if not g.has_edge(x, y):
-        raise NotABridgeError(f"({x}, {y}) is not an edge")
-
-    # Reachability from x with the edge removed decides bridge-ness directly.
-    masks = list(g._masks)
-    masks[x] &= ~(1 << y)
-    masks[y] &= ~(1 << x)
-    _, reach_x = _bfs_row(masks, g.n, x)
-    if reach_x >> y & 1:
-        raise NotABridgeError(f"({x}, {y}) does not disconnect the graph")
-
-    def side(anchor: int, member_mask: int) -> tuple[Graph, int, tuple[int, ...]]:
-        orig = tuple(_bits(member_mask))
-        new_id = {o: i for i, o in enumerate(orig)}
-        edges = [
-            (new_id[u], new_id[v])
-            for (u, v) in g.edges()
-            if u in new_id and v in new_id
-        ]
-        labels = [g.label(o) for o in orig] if g.labels is not None else None
-        return Graph(len(orig), edges, labels), new_id[anchor], orig
-
-    full = (1 << g.n) - 1
-    gx, new_x, map_x = side(x, reach_x)
-    gy, new_y, map_y = side(y, full & ~reach_x)
-    return BridgeSplit(gx, gy, new_x, new_y, map_x, map_y)

@@ -26,7 +26,7 @@ from .engine import (
     validate_tracks,
 )
 from .errors import DisconnectedError, OrderTooSmallError, TooLargeError
-from .graph import Graph, _bfs_row, bridges
+from .graph import MAX_ORDER, Graph, _bfs_row, bridges
 from .io import _slots, emit_graph6
 from .product import MovementRule
 
@@ -152,22 +152,6 @@ def _remap(mask: int, slot_map: tuple[int, ...]) -> int:
     return out
 
 
-def canonical_edge_mask(g: Graph) -> int:
-    """Smallest edge bitmask over all vertex relabelings (n <= 7)."""
-    if g.n > ENUMERATE_MAX_N:
-        raise TooLargeError(f"canonical form by permutations caps at n <= {ENUMERATE_MAX_N}")
-    slots = _slots(g.n)
-    mask = 0
-    for i, (u, v) in enumerate(slots):
-        if g.has_edge(u, v):
-            mask |= 1 << i
-    return min(_remap(mask, sm) for sm in _perm_slot_maps(g.n))
-
-
-def is_isomorphic(a: Graph, b: Graph) -> bool:
-    return a.n == b.n and canonical_edge_mask(a) == canonical_edge_mask(b)
-
-
 def enumerate_connected(n: int, dedup: bool = False) -> Iterator[Graph]:
     """All connected graphs on n labelled vertices, ascending by edge mask.
 
@@ -211,6 +195,9 @@ def random_graphs(
     resampled forever.  A positive but tiny ``edge_prob`` can make a
     connected draw just as unlikely, so each graph gets at most
     ``RANDOM_MAX_ATTEMPTS`` draws and ``ValueError`` is raised after that.
+    An ``n_range`` reaching over ``graph.MAX_ORDER`` raises ``TooLargeError``
+    before the first draw, which would otherwise build a quadratic edge list
+    that ``Graph`` then refuses.
     """
     lo, hi = n_range
     if count < 0:
@@ -219,6 +206,8 @@ def random_graphs(
         raise ValueError(f"bad vertex range {n_range}")
     if not 0 < edge_prob <= 1:
         raise ValueError(f"edge probability must lie in (0, 1], got {edge_prob}")
+    if hi > MAX_ORDER:
+        raise TooLargeError(f"order {hi} is over {MAX_ORDER}, the order cap")
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(lo, hi)
@@ -271,7 +260,7 @@ def cut_edge_bound(g: Graph) -> int | None:
 
 # -- theorem harness ----------------------------------------------------------------
 
-RULES = (MovementRule.TRADITIONAL, MovementRule.ACTIVE, MovementRule.LAZY)
+RULES = tuple(MovementRule)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 The oracles here deliberately share no code with the package: distances are
 re-derived by Floyd-Warshall, bridges by per-edge removal, graph6 by string
-bit-twiddling.  Tests compare the package against these.
+bit-twiddling, and isomorphism is decided by networkx.  Tests compare the
+package against these.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+import networkx as nx
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -79,6 +81,14 @@ def connected_after_removal(g: Graph, dropped: tuple[int, int]) -> bool:
 
 def bridges_by_removal(g: Graph) -> list[tuple[int, int]]:
     return [e for e in g.edges() if not connected_after_removal(g, e)]
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    """A networkx copy of ``g``, for networkx's isomorphism test."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
 
 
 def decode_graph6_by_strings(line: str) -> tuple[int, list[tuple[int, int]]]:

@@ -94,3 +94,12 @@ def test_readme_quick_tour_runs():
         m = re.match(r"(?![\w.]+ = )(\S.*?)\s+# (\d+)\b", line)
         if m:
             assert eval(m.group(1), namespace) == int(m.group(2)), line
+
+
+def test_readme_module_names_resolve():
+    # Every backticked ``spanlab.<module>.<name>`` in README.md, so that a
+    # removed or renamed name cannot stay documented.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = re.findall(r"`spanlab\.(\w+)\.(\w+)`", readme)
+    assert names
+    assert _unresolved(names) == []

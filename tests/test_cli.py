@@ -615,6 +615,22 @@ class TestVerifyCommands:
         assert all(six.startswith("~") for six in sixes)
         assert {parse_graph6(six).n for six in sixes} <= {63, 64}
 
+    def test_random_order_over_cap_exits_4(self):
+        # A subprocess with a timeout and a bounded address space: the draw
+        # of order 100,000 used to build about 1.5e9 edge tuples before
+        # Graph refused the order.
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", "verify-random", "--count", "1",
+             "--n-min", "100000", "--n-max", "100000"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+
     def test_random_negative_count_exits_2(self, capsys):
         assert main(["verify-random", "--count", "-3"]) == 2
         err = capsys.readouterr().err

@@ -10,7 +10,6 @@ from spanlab.errors import (
     DisconnectedError,
     DuplicateEdgeError,
     EmptyGraphError,
-    NotABridgeError,
     SelfLoopError,
     TooLargeError,
     VertexOutOfRangeError,
@@ -18,11 +17,10 @@ from spanlab.errors import (
 from spanlab.families import (
     complete_graph,
     cycle_graph,
-    named_graph,
     paramecium_graph,
     path_graph,
 )
-from spanlab.graph import MAX_ORDER, Graph, _levels, bridges, eccentricity, split_at_bridge
+from spanlab.graph import MAX_ORDER, Graph, _levels, bridges, eccentricity
 
 from conftest import bridges_by_removal, connected_graphs, floyd_warshall
 
@@ -175,48 +173,3 @@ class TestBridges:
     @given(connected_graphs(max_n=8))
     def test_matches_removal_oracle(self, g):
         assert bridges(g) == bridges_by_removal(g)
-
-
-class TestSplitAtBridge:
-    def test_k2_splits_into_singletons(self):
-        split = split_at_bridge(Graph(2, [(0, 1)]), (0, 1))
-        assert split.side_x.n == 1 and split.side_y.n == 1
-        assert split.map_x == (0,) and split.map_y == (1,)
-
-    def test_fig6_left_two_triangles(self):
-        g = named_graph("fig6_left")
-        split = split_at_bridge(g, (4, 5))
-        assert split.side_x.n == 3 and split.side_y.n == 3
-        assert eccentricity(split.side_x, split.x) == 1
-        assert eccentricity(split.side_y, split.y) == 1
-
-    def test_labels_carry_into_sides(self):
-        p = Graph(3, [(0, 1), (1, 2)], labels=["a", "b", "c"])
-        split = split_at_bridge(p, (1, 2))
-        assert split.side_x.labels == ("a", "b")
-        assert split.side_y.labels == ("c",)
-
-    def test_fig6_right_bound_value(self):
-        g = named_graph("fig6_right")
-        split = split_at_bridge(g, (5, 6))
-        assert max(
-            eccentricity(split.side_x, split.x),
-            eccentricity(split.side_y, split.y),
-        ) == 4
-
-    def test_not_a_bridge(self):
-        with pytest.raises(NotABridgeError):
-            split_at_bridge(cycle_graph(4), (0, 1))
-
-    def test_missing_edge(self):
-        with pytest.raises(NotABridgeError):
-            split_at_bridge(path_graph(4), (0, 3))
-
-    @given(connected_graphs(min_n=2, max_n=8))
-    def test_sides_partition_the_graph(self, g):
-        for edge in bridges(g):
-            split = split_at_bridge(g, edge)
-            assert split.side_x.n + split.side_y.n == g.n
-            assert sorted(split.map_x + split.map_y) == list(range(g.n))
-            assert split.map_x[split.x] == edge[0]
-            assert split.map_y[split.y] == edge[1]

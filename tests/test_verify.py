@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import random
+from types import SimpleNamespace
 
+import networkx as nx
 import pytest
 
 from spanlab import verify
 from spanlab.engine import compute_span
 from spanlab.errors import OrderTooSmallError, TooLargeError
 from spanlab.families import (
+    NAMED_GRAPH_IDS,
     cycle_graph,
     named_graph,
     paramecium_graph,
@@ -18,16 +22,16 @@ from spanlab.io import emit_graph6
 from spanlab.verify import (
     ORACLE_MAX_N,
     RULES,
-    canonical_edge_mask,
     check_graph,
     check_theorems,
     clamp_jobs,
     cut_edge_bound,
     enumerate_connected,
-    is_isomorphic,
     oracle_span,
     random_graphs,
 )
+
+from conftest import to_networkx
 
 T, A, L = RULES
 
@@ -87,38 +91,41 @@ class TestEnumerate:
     def test_dedup_n4_against_brute_force(self):
         labeled = list(enumerate_connected(4))
         assert len(labeled) == 38
-        classes: list[Graph] = []
-        for g in labeled:
-            if not any(is_isomorphic(g, h) for h in classes):
+        classes: list[nx.Graph] = []
+        for g in map(to_networkx, labeled):
+            if not any(nx.is_isomorphic(g, h) for h in classes):
                 classes.append(g)
         assert len(classes) == 6
 
     def test_order5_radius2_classes_match_the_atlas(self):
-        from spanlab.families import order5_radius2_atlas
-
+        # P_5, C_5 and the eight bundled fig7 graphs, one per class.
+        atlas = [path_graph(5), cycle_graph(5)]
+        atlas += [named_graph(gid) for gid in NAMED_GRAPH_IDS if gid.startswith("fig7_")]
         classes = [g for g in enumerate_connected(5, dedup=True) if g.radius == 2]
-        assert len(classes) == 10
-        atlas = order5_radius2_atlas()
+        assert len(classes) == len(atlas) == 10
         for g in classes:
-            matches = [name for name, ag, _ in atlas if is_isomorphic(g, ag)]
+            matches = [ag for ag in atlas if nx.is_isomorphic(to_networkx(g), to_networkx(ag))]
             assert len(matches) == 1
 
     def test_dedup_classes_match_networkx_atlas(self):
         # networkx bundles every graph on up to 7 vertices (the Atlas of
         # Graphs), one per isomorphism class; it is a test-only oracle.
-        import networkx as nx
-
-        atlas: dict[int, list[int]] = {n: [] for n in range(1, 7)}
+        # Each class must match exactly one atlas graph, and no two classes
+        # the same one.
+        atlas: dict[int, list[nx.Graph]] = {n: [] for n in range(1, 7)}
         for a in nx.graph_atlas_g():
             n = a.number_of_nodes()
             if 1 <= n <= 6 and nx.is_connected(a):
-                atlas[n].append(canonical_edge_mask(Graph(n, a.edges())))
+                atlas[n].append(a)
         counts = []
         for n in range(1, 7):
-            classes = [canonical_edge_mask(g) for g in enumerate_connected(n, dedup=True)]
-            for mask in classes:
-                assert atlas[n].count(mask) == 1
-            assert len(set(classes)) == len(classes) == len(atlas[n])
+            classes = [to_networkx(g) for g in enumerate_connected(n, dedup=True)]
+            matched = []
+            for g in classes:
+                hits = [i for i, a in enumerate(atlas[n]) if nx.is_isomorphic(g, a)]
+                assert len(hits) == 1
+                matched += hits
+            assert len(set(matched)) == len(classes) == len(atlas[n])
             counts.append(len(classes))
         assert counts == [1, 1, 2, 6, 21, 112]
 
@@ -159,6 +166,15 @@ class TestRandomGraphs:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             list(random_graphs(-3, (4, 9), 0.3, 7))
+
+    def test_order_over_the_cap_refused_before_drawing(self, monkeypatch):
+        class NoDraws(random.Random):
+            def random(self):
+                raise AssertionError("an edge was drawn")
+
+        monkeypatch.setattr(verify, "random", SimpleNamespace(Random=NoDraws))
+        with pytest.raises(TooLargeError, match="order cap"):
+            next(random_graphs(1, (10**5, 10**5), 0.3, 0))
 
     def test_probability_one_gives_complete_graphs(self):
         for g in random_graphs(5, (3, 6), 1.0, 3):
@@ -231,8 +247,6 @@ class TestCheckTheorems:
     def test_order7_atlas_against_oracle(self):
         # networkx's atlas holds one graph per isomorphism class; its 853
         # connected order-7 classes are checked against the oracle directly.
-        import networkx as nx
-
         corpus = [
             Graph(7, a.edges())
             for a in nx.graph_atlas_g()

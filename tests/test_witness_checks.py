@@ -1,11 +1,12 @@
-"""The cheap witness checks, compared against the per-step forms they replaced.
+"""The cheap witness checks, compared against plain test-side references.
 
 ``reference_validate_tracks`` checks a track pair one step at a time through
-``Graph`` methods, and ``reference_cut_edge_bound`` builds both side graphs
-of every bridge and reads the endpoint eccentricities there.
-``validate_tracks`` and ``cut_edge_bound`` must give exactly the same
-answers: an equal ``TrackValidation`` or the same exception, and the same
-bound.
+``Graph`` methods.  ``reference_cut_edge_bound`` finds the bridges by
+removing each edge in turn (conftest's ``bridges_by_removal``) and reads
+each endpoint's eccentricity inside its own side by a breadth-first search
+over ``g.neighbors`` that never crosses the bridge.  ``validate_tracks`` and
+``cut_edge_bound`` must give exactly the same answers: an equal
+``TrackValidation`` or the same exception, and the same bound.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from spanlab.engine import (
     validate_tracks,
 )
 from spanlab.errors import VertexOutOfRangeError
-from spanlab.graph import Graph, bridges, eccentricity, split_at_bridge
+from spanlab.graph import Graph
 from spanlab.product import MovementRule
 from spanlab.verify import RULES, cut_edge_bound, enumerate_connected, random_graphs
 
-from conftest import connected_graphs
+from conftest import bridges_by_removal, connected_graphs
 
 T, A, L = RULES
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -81,13 +82,30 @@ def outcome(check, g: Graph, t: TrackPair):
         return type(exc), str(exc)
 
 
+def _side_eccentricity(g: Graph, source: int, far: int) -> int:
+    """The deepest breadth-first level from ``source`` on its side of the
+    bridge to ``far``.  The search starts with ``far`` already seen, so it
+    never crosses the bridge."""
+    seen = {source, far}
+    level = [source]
+    depth = -1
+    while level:
+        depth += 1
+        reached = []
+        for u in level:
+            for v in g.neighbors(u):
+                if v not in seen:
+                    seen.add(v)
+                    reached.append(v)
+        level = reached
+    return depth
+
+
 def reference_cut_edge_bound(g: Graph) -> int | None:
-    bounds = []
-    for edge in bridges(g):
-        split = split_at_bridge(g, edge)
-        bounds.append(
-            max(eccentricity(split.side_x, split.x), eccentricity(split.side_y, split.y))
-        )
+    bounds = [
+        max(_side_eccentricity(g, x, y), _side_eccentricity(g, y, x))
+        for x, y in bridges_by_removal(g)
+    ]
     return min(bounds, default=None)
 
 
