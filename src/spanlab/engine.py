@@ -8,7 +8,11 @@ closer than ``r``; conversely any pair of covering walks traces such a
 component.  A covering component at ``r`` lies inside one at ``r - 1``, so
 the span is found by one union-find sweep that adds pairs from the radius
 down and stops at the first threshold where a component covers both
-coordinates; no pair graph is built.  The winning component stays in the
+coordinates; no pair graph is built.  Swapping the actors, ``(u, v) ->
+(v, u)``, maps the pair graph onto itself under every rule, so it maps each
+component to a component, its mirror image.  The sweep joins only the pairs
+with ``u <= v`` and keeps each component's mirror image beside it, which
+halves the pairs it steps from.  The winning component stays in the
 sweep's format, a bitmask with bit ``u * n + v`` set for each member pair
 ``(u, v)`` (``SpanReport.members``), and the witness walk reads it as is;
 ``SpanReport.witness_component`` is its one pair view.
@@ -67,7 +71,12 @@ class SpanReport:
     @property
     def witness_component(self) -> tuple[Pair, ...]:
         """The component's pairs, in ascending pair order."""
-        return tuple(divmod(i, self.graph.n) for i in _bits(self.members))
+        # One n-bit row at a time: ``_bits`` on the whole mask would copy
+        # all n * n bits once per member.
+        n = self.graph.n
+        block = (1 << n) - 1
+        members = self.members
+        return tuple((u, v) for u in range(n) for v in _bits(members >> (u * n) & block))
 
     def __repr__(self) -> str:
         # In hex: a member mask of more than 4,300 decimal digits (P200's
@@ -123,15 +132,25 @@ class MoveAttribution:
 def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     """Span of ``g`` under ``rule``, by one descending union-find sweep.
 
-    Ordered pairs join in buckets of ``min(d(u, v), radius)``, from the
-    radius down.  Each joining pair is unioned with its live
-    rule-neighbours; neighbours already inside the growing component are
-    skipped, so each neighbouring component costs one ``find``.  Every root
-    keeps its member bitmask and the union of its two coordinate
-    projections.  A component that covers every vertex in both coordinates
-    still does at every lower threshold, so the first bucket that leaves one
-    covering gives the span.  Only components that bucket touched can have
-    just started covering; among them the one with the smallest pair index
+    Pairs ``(u, v)`` with ``u <= v`` join in buckets of
+    ``min(d(u, v), radius)``, from the radius down, and each brings its
+    mirror ``(v, u)`` into the same union-find set.  A set is a component
+    together with its mirror image; its root keeps the member bitmasks of
+    both, ``members`` and ``mirror``, and the union of the two coordinate
+    projections of ``members``.  Each joining pair is unioned with its live
+    rule-neighbours, which by symmetry unions its mirror with theirs.
+    Neighbours already inside the growing component are skipped, so each
+    neighbouring set costs one ``find``.  A neighbour in the growing set's
+    own ``mirror`` makes the component meet its mirror image: from then on
+    the set is one symmetric component, ``members == mirror``.  Otherwise the
+    neighbour's set is merged so that its half holding the neighbour joins
+    ``members``, its other half ``mirror``, swapping its cover if need be.
+
+    A component that covers every vertex in both coordinates still does at
+    every lower threshold, and it covers exactly when its mirror image does,
+    so the first bucket that leaves one covering gives the span.  Only
+    components that bucket touched can have just started covering; among
+    them, and both halves of each set, the one with the smallest pair index
     is the witness.  Threshold 0 joins every pair, so the sweep always ends
     with a witness.
     """
@@ -140,16 +159,22 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     step = pair_neighbors(g, rule)
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
     add = [bucket.append for bucket in buckets]
-    # Pair index u * n + v is the position of d(u, v) in the flattened rows.
-    for i, d in enumerate([d for row in g.distances for d in row]):
-        add[d if d < top else top](i)
+    # Only pairs with u <= v join; row u from column u onwards holds them.
+    for u, row in enumerate(g.distances):
+        for i, d in enumerate(row[u:], u * n + u):
+            add[d if d < top else top](i)
 
     # A component's cover has bit u for each first coordinate u and bit
-    # n + v for each second coordinate v of its members.
+    # n + v for each second coordinate v of its members; swapping its two
+    # halves gives the cover of its mirror image.
+    block = (1 << n) - 1
     covering = (1 << 2 * n) - 1
     parent = list(range(n * n))
-    comps: dict[int, tuple[int, int, int]] = {}  # root -> (size, members, cover)
-    # size repeats members.bit_count(); recounting made the sweep ~15% slower.
+    # root -> (size, members, mirror, cover, symmetric).  The root's set
+    # holds both masks' pairs; ``symmetric`` means members == mirror.
+    comps: dict[int, tuple[int, int, int, int, bool]] = {}
+    # size counts the set's joined pairs, for union by size; recounting
+    # member bits made the sweep ~15% slower.
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -160,30 +185,53 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     for r in range(top, -1, -1):
         won = []  # roots of covering components, all new in this bucket
         for i in buckets[r]:
-            bit = 1 << i
-            live |= bit
             u, v = divmod(i, n)
-            root, size, members, cover = i, 1, bit, 1 << u | 1 << (n + v)
+            m = v * n + u
+            parent[m] = i
+            members, mirror = 1 << i, 1 << m
+            live |= members | mirror
+            root, size, cover, symmetric = i, 1, 1 << u | 1 << (n + v), i == m
             todo = step(i) & live
             # Read the top bit and clear with ``todo ^ (todo & members)``:
             # ``todo & -todo`` and ``~members`` would each negate, copying
             # the whole n*n-bit mask once more per neighbouring component.
             while todo:
-                other = find(todo.bit_length() - 1)
-                other_size, other_members, other_cover = comps.pop(other)
-                if other_size > size:
-                    root, other = other, root
-                parent[other] = root
-                size += other_size
-                members |= other_members
-                cover |= other_cover
+                j = todo.bit_length() - 1
+                other = find(j)
+                if other == root:
+                    # j is not in members, so it lies in the mirror image:
+                    # the component meets its mirror, and they are one.
+                    joined = True
+                else:
+                    o_size, o_members, o_mirror, o_cover, o_symmetric = comps.pop(other)
+                    if o_size > size:
+                        root, other = other, root
+                    parent[other] = root
+                    size += o_size
+                    if o_members >> j & 1:
+                        members |= o_members
+                        mirror |= o_mirror
+                        cover |= o_cover
+                    else:
+                        members |= o_mirror
+                        mirror |= o_members
+                        cover |= o_cover >> n | (o_cover & block) << n
+                    joined = symmetric or o_symmetric
+                if joined:
+                    symmetric = True
+                    members = mirror = members | mirror
+                    cover |= cover >> n | (cover & block) << n
                 todo ^= todo & members
-            comps[root] = (size, members, cover)
+            comps[root] = (size, members, mirror, cover, symmetric)
             if cover == covering:
                 won.append(root)
 
         if won:
-            qualifying = [comps[root][1] for root in {find(root) for root in won}]
+            # A component covers exactly when its mirror image does.
+            qualifying = []
+            for root in {find(root) for root in won}:
+                _, members, mirror, _, _ = comps[root]
+                qualifying += (members, mirror)
             winner = min(qualifying, key=lambda m: m & -m)
             return SpanReport(g, rule, r, winner)
     raise AssertionError("threshold 0 must always admit a covering component")

@@ -141,7 +141,7 @@ def pair_neighbors(g: Graph, rule: MovementRule) -> Callable[[int], int]:
     # spread[u] has bit w * n set for each neighbour w of u.  Multiplying an
     # n-bit mask by it lays one copy into each neighbour's block of n pair
     # indices; the copies cannot overlap, so no carry crosses a block.
-    spread = [sum(1 << (w * n) for w in _bits(m)) for m in masks]
+    spread = [sum(1 << (w * n) for w in row) for row in g._adj]
     if rule is MovementRule.ACTIVE:
 
         def step(i: int) -> int:

@@ -33,8 +33,11 @@ from .product import MovementRule
 ORACLE_MAX_N = 7
 ENUMERATE_MAX_N = 7
 DEDUP_MAX_N = 6
-# Draws per random graph before ``random_graphs`` gives up on a connected one.
+# Draws per random graph before ``random_graphs`` gives up on a connected
+# one, and the coin flips those draws may take: 10,000 draws up to order 45,
+# 4 at order 2,048.
 RANDOM_MAX_ATTEMPTS = 10_000
+RANDOM_MAX_FLIPS = 10**7
 
 
 # -- joint-state oracle ---------------------------------------------------------
@@ -193,8 +196,11 @@ def random_graphs(
     ``count`` must be non-negative and ``edge_prob`` must lie in ``(0, 1]``:
     with no edge possible, a draw of two or more vertices would be
     resampled forever.  A positive but tiny ``edge_prob`` can make a
-    connected draw just as unlikely, so each graph gets at most
-    ``RANDOM_MAX_ATTEMPTS`` draws and ``ValueError`` is raised after that.
+    connected draw just as unlikely.  A draw flips one coin per vertex
+    pair, so each graph gets as many draws as ``RANDOM_MAX_FLIPS`` flips
+    allow, at least one and at most ``RANDOM_MAX_ATTEMPTS``, and
+    ``ValueError`` is raised after that: a graph that cannot be drawn costs
+    about ``RANDOM_MAX_FLIPS`` flips at most, at any order.
     An ``n_range`` reaching over ``graph.MAX_ORDER`` raises ``TooLargeError``
     before the first draw, which would otherwise build a quadratic edge list
     that ``Graph`` then refuses.
@@ -211,7 +217,9 @@ def random_graphs(
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(lo, hi)
-        for _ in range(RANDOM_MAX_ATTEMPTS):
+        pairs = n * (n - 1) // 2
+        attempts = min(RANDOM_MAX_ATTEMPTS, max(1, RANDOM_MAX_FLIPS // max(pairs, 1)))
+        for _ in range(attempts):
             edges = [
                 (u, v)
                 for u in range(n)
@@ -226,7 +234,7 @@ def random_graphs(
             break
         else:
             raise ValueError(
-                f"no connected graph of order {n} in {RANDOM_MAX_ATTEMPTS} draws"
+                f"no connected graph of order {n} in {attempts} draws"
                 f" at edge probability {edge_prob}"
             )
 

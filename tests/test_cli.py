@@ -649,6 +649,22 @@ class TestVerifyCommands:
         assert proc.returncode == 2
         assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
 
+    def test_random_large_order_below_connectivity_exits_2(self):
+        # p = 0.001 lies below the ln(n) / n connectivity threshold of order
+        # 2,048.  Each draw flips 2.1 M coins in about 0.2 s, so the 10,000
+        # draws of the attempt cap alone took most of an hour; the flip
+        # budget stops after 4 draws.
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab.cli", "verify-random", "--count", "1",
+             "--n-min", "2048", "--n-max", "2048", "--p", "0.001"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+
     def test_random_seed_env_override(self, tmp_path, capsys, monkeypatch):
         rec_a = tmp_path / "a.txt"
         rec_b = tmp_path / "b.txt"

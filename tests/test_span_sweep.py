@@ -142,6 +142,8 @@ CORPORA = {
     "labelled-order-le-5": lambda: [g for n in range(1, 6) for g in enumerate_connected(n)],
     # The benchmark's inputs are relabelled, so the sweep merges components
     # in a label-dependent order there; the other corpora are labelled or tiny.
+    # The odd cycle's active-rule winner is not its own mirror image, so the
+    # sweep must pick it over its mirror.
     "relabelled": lambda: [
         relabelled(g, seed)
         for seed, g in enumerate(
@@ -151,6 +153,7 @@ CORPORA = {
                 cycle_graph(12),
                 complete_bipartite_graph(10, 10),
                 grid_graph(4, 5),
+                cycle_graph(13),
             ]
         )
     ],
@@ -274,6 +277,27 @@ def test_members_mask_is_the_walked_component(rule):
             mismatches.append(g.edges())
     assert len(graphs) == 772
     assert mismatches == []
+
+
+def test_winner_is_chosen_over_its_mirror_image():
+    # Swapping the actors maps the winner W to its mirror image sigma(W), a
+    # component that covers just as W does.  Where the two differ, W must be
+    # the one holding the smaller pair index.
+    def asymmetric_winners(graphs) -> int:
+        count = 0
+        for g in graphs:
+            for rule in RULES:
+                report = compute_span(g, rule)
+                mirror = sum(1 << (v * g.n + u) for u, v in report.witness_component)
+                if mirror != report.members:
+                    count += 1
+                    assert report.members & -report.members < mirror & -mirror, g.edges()
+        return count
+
+    # Over the three rules: 12 of the 2,316 order <= 5 winners, and 4 of the
+    # 27 cycle winners (the active rule on C_5, C_7, C_9 and C_11).
+    assert asymmetric_winners(g for n in range(1, 6) for g in enumerate_connected(n)) >= 12
+    assert asymmetric_winners(cycle_graph(k) for k in range(3, 12)) >= 4
 
 
 # SHA-256 of every (edges, rule, span, members, f, g) below.  A change that

@@ -176,6 +176,19 @@ class TestRandomGraphs:
         with pytest.raises(TooLargeError, match="order cap"):
             next(random_graphs(1, (10**5, 10**5), 0.3, 0))
 
+    @pytest.mark.parametrize(
+        "order, max_attempts, draws",
+        [(12, 10_000, 15), (2, 10_000, 1000), (2, 7, 7), (46, 10_000, 1)],
+    )
+    def test_draws_bounded_by_coin_flips_and_count(self, monkeypatch, order, max_attempts, draws):
+        # With a budget of 1,000 flips, order 12 (66 pairs per draw) gets 15
+        # draws, order 2 gets the attempt cap, and order 46 (1,035 pairs)
+        # still gets one draw.
+        monkeypatch.setattr(verify, "RANDOM_MAX_FLIPS", 1000)
+        monkeypatch.setattr(verify, "RANDOM_MAX_ATTEMPTS", max_attempts)
+        with pytest.raises(ValueError, match=f"in {draws} draws"):
+            next(random_graphs(1, (order, order), 1e-12, 0))
+
     def test_probability_one_gives_complete_graphs(self):
         for g in random_graphs(5, (3, 6), 1.0, 3):
             assert g.edge_count == g.n * (g.n - 1) // 2
