@@ -35,7 +35,6 @@ from .errors import (
     ParameterOutOfRangeError,
     SelfLoopError,
     SpanlabError,
-    ThresholdTooLargeError,
     TooLargeError,
     UnknownGraphIdError,
     VertexOutOfRangeError,

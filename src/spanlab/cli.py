@@ -18,7 +18,6 @@ from .engine import compute_span, extract_witness_tracks
 from .errors import (
     DisconnectedError,
     OrderTooSmallError,
-    ParameterOutOfRangeError,
     SpanlabError,
     TooLargeError,
     UnknownGraphIdError,
@@ -33,6 +32,15 @@ class _Exit(Exception):
         self.code = code
 
 
+def _exit_code(exc: SpanlabError) -> int:
+    """The documented exit code of a library error."""
+    if isinstance(exc, DisconnectedError):
+        return 3
+    if isinstance(exc, TooLargeError):
+        return 4
+    return 2
+
+
 def _read_graph(path: str, fmt: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -45,12 +53,8 @@ def _read_graph(path: str, fmt: str) -> Graph:
         if fmt == "graph6":
             return io.parse_graph6(text)
         return io.parse_edge_list(text)
-    except DisconnectedError as exc:
-        raise _Exit(3, f"{path}: {exc}") from exc
-    except TooLargeError as exc:
-        raise _Exit(4, f"{path}: {exc}") from exc
     except SpanlabError as exc:
-        raise _Exit(2, f"{path}: {exc}") from exc
+        raise _Exit(_exit_code(exc), f"{path}: {exc}") from exc
 
 
 def _cmd_span(args: argparse.Namespace) -> int:
@@ -137,8 +141,6 @@ def _sweep(corpus: list[Graph], args: argparse.Namespace) -> int:
 def _cmd_verify_enumerate(args: argparse.Namespace) -> int:
     try:
         corpus = list(verify.enumerate_connected(args.n, dedup=args.dedup))
-    except TooLargeError as exc:
-        raise _Exit(4, str(exc)) from exc
     except ValueError as exc:
         raise _Exit(2, str(exc)) from exc
     return _sweep(corpus, args)
@@ -202,10 +204,7 @@ def _cmd_named(args: argparse.Namespace) -> int:
         return 0
     if args.id is None:
         raise _Exit(2, "a graph id is required (or use --list)")
-    try:
-        g = _graph_for_token(args.id)
-    except (UnknownGraphIdError, ParameterOutOfRangeError) as exc:
-        raise _Exit(2, str(exc)) from exc
+    g = _graph_for_token(args.id)
     if args.format == "graph6":
         print(io.emit_graph6(g))
     else:
@@ -289,9 +288,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _Exit as exc:
         print(f"spanlab: {exc}", file=sys.stderr)
         return exc.code
-    except TooLargeError as exc:
+    except SpanlabError as exc:
         print(f"spanlab: {exc}", file=sys.stderr)
-        return 4
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

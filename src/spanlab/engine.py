@@ -135,16 +135,18 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     Pairs ``(u, v)`` with ``u <= v`` join in buckets of
     ``min(d(u, v), radius)``, from the radius down, and each brings its
     mirror ``(v, u)`` into the same union-find set.  A set is a component
-    together with its mirror image; its root keeps the member bitmasks of
-    both, ``members`` and ``mirror``, and the union of the two coordinate
-    projections of ``members``.  Each joining pair is unioned with its live
-    rule-neighbours, which by symmetry unions its mirror with theirs.
-    Neighbours already inside the growing component are skipped, so each
-    neighbouring set costs one ``find``.  A neighbour in the growing set's
-    own ``mirror`` makes the component meet its mirror image: from then on
-    the set is one symmetric component, ``members == mirror``.  Otherwise the
-    neighbour's set is merged so that its half holding the neighbour joins
-    ``members``, its other half ``mirror``, swapping its cover if need be.
+    together with its mirror image; its root keeps ``(members, mirror,
+    cover)``: the member bitmasks of both and the union of the two
+    coordinate projections of ``members``.  Each joining pair is unioned
+    with its live rule-neighbours, which by symmetry unions its mirror with
+    theirs.  Neighbours already inside the growing component are skipped,
+    so each neighbouring set costs one ``find``.  A component and its mirror
+    image are disjoint unless they are one, so ``members == mirror`` marks a
+    symmetric set, as a diagonal pair is from the start.  A neighbour in the
+    growing set's own ``mirror`` makes the component meet its mirror image.
+    Otherwise the growing set goes under the neighbour's root, whose half
+    holding the neighbour joins ``members`` and other half ``mirror``,
+    swapping its cover if need be; the merge is symmetric if either side was.
 
     A component that covers every vertex in both coordinates still does at
     every lower threshold, and it covers exactly when its mirror image does,
@@ -170,11 +172,8 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     block = (1 << n) - 1
     covering = (1 << 2 * n) - 1
     parent = list(range(n * n))
-    # root -> (size, members, mirror, cover, symmetric).  The root's set
-    # holds both masks' pairs; ``symmetric`` means members == mirror.
-    comps: dict[int, tuple[int, int, int, int, bool]] = {}
-    # size counts the set's joined pairs, for union by size; recounting
-    # member bits made the sweep ~15% slower.
+    # root -> (members, mirror, cover); the root's set holds both masks' pairs.
+    comps: dict[int, tuple[int, int, int]] = {}
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -190,7 +189,7 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
             parent[m] = i
             members, mirror = 1 << i, 1 << m
             live |= members | mirror
-            root, size, cover, symmetric = i, 1, 1 << u | 1 << (n + v), i == m
+            root, cover = i, 1 << u | 1 << (n + v)
             todo = step(i) & live
             # Read the top bit and clear with ``todo ^ (todo & members)``:
             # ``todo & -todo`` and ``~members`` would each negate, copying
@@ -203,11 +202,11 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                     # the component meets its mirror, and they are one.
                     joined = True
                 else:
-                    o_size, o_members, o_mirror, o_cover, o_symmetric = comps.pop(other)
-                    if o_size > size:
-                        root, other = other, root
-                    parent[other] = root
-                    size += o_size
+                    o_members, o_mirror, o_cover = comps.pop(other)
+                    # Read before the masks below are ORed together.
+                    joined = members == mirror or o_members == o_mirror
+                    # The growing set goes under the neighbour's root.
+                    parent[root] = root = other
                     if o_members >> j & 1:
                         members |= o_members
                         mirror |= o_mirror
@@ -216,13 +215,11 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                         members |= o_mirror
                         mirror |= o_members
                         cover |= o_cover >> n | (o_cover & block) << n
-                    joined = symmetric or o_symmetric
                 if joined:
-                    symmetric = True
                     members = mirror = members | mirror
                     cover |= cover >> n | (cover & block) << n
                 todo ^= todo & members
-            comps[root] = (size, members, mirror, cover, symmetric)
+            comps[root] = (members, mirror, cover)
             if cover == covering:
                 won.append(root)
 
@@ -230,7 +227,7 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
             # A component covers exactly when its mirror image does.
             qualifying = []
             for root in {find(root) for root in won}:
-                _, members, mirror, _, _ = comps[root]
+                members, mirror, _ = comps[root]
                 qualifying += (members, mirror)
             winner = min(qualifying, key=lambda m: m & -m)
             return SpanReport(g, rule, r, winner)

@@ -45,10 +45,6 @@ class InvalidTracksError(SpanlabError):
     """A track pair that cannot belong to the given graph."""
 
 
-class ThresholdTooLargeError(SpanlabError):
-    """Pair-graph threshold above the radius: the vertex set would be empty."""
-
-
 class NotActiveConformantError(SpanlabError):
     """Tracks fed to a transformation do not follow the active rule."""
 

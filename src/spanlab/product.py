@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .errors import ThresholdTooLargeError
 from .graph import Graph, _bits, _levels
 
 Pair = tuple[int, int]
@@ -169,16 +168,11 @@ def pair_neighbors(g: Graph, rule: MovementRule) -> Callable[[int], int]:
 def build_pair_graph(g: Graph, rule: MovementRule, r: int) -> PairGraph:
     """Pair graph of ``g`` on ordered pairs at distance >= ``r``.
 
-    ``r`` must lie in ``0..g.radius``; beyond the radius no pair survives
-    (no vertex has everything at distance radius+1), which is rejected as a
-    distinct error so span searches know to stop.
+    Any ``r >= 0`` is accepted; the pair set is empty only above the
+    diameter.  A negative ``r`` raises ``ValueError``.
     """
     if r < 0:
         raise ValueError(f"threshold must be non-negative, got {r}")
-    if r > g.radius:
-        raise ThresholdTooLargeError(
-            f"threshold {r} exceeds radius {g.radius}: empty pair graph"
-        )
     n = g.n
     allowed = 0
     for u, row in enumerate(g.distances):

@@ -26,7 +26,7 @@ from .engine import (
     validate_tracks,
 )
 from .errors import DisconnectedError, OrderTooSmallError, TooLargeError
-from .graph import MAX_ORDER, Graph, _bfs_row, bridges
+from .graph import MAX_ORDER, Graph, bridges
 from .io import _slots, emit_graph6
 from .product import MovementRule
 
@@ -247,23 +247,17 @@ def cut_edge_bound(g: Graph) -> int | None:
 
     For a bridge xy the span cannot exceed the larger of the two endpoint
     eccentricities measured inside their own sides; the minimum over all
-    bridges is returned, or None for a bridgeless graph.  With the bridge
-    removed, a breadth-first search from an endpoint reaches exactly its
-    side, so its deepest level is that eccentricity and no side graph is
-    built.
+    bridges is returned, or None for a bridgeless graph.  Both come from
+    the distance rows: every vertex is strictly nearer the endpoint on its
+    own side, and a shortest path between two vertices of one side never
+    crosses the bridge.  So ``x``'s side eccentricity is the largest
+    ``d(x, w)`` over its side, and the bound for xy is the largest
+    ``min(d(w, x), d(w, y))`` over all vertices ``w``.
     """
-    n = g.n
-    if n < 3:
-        raise OrderTooSmallError(f"cut-edge bound needs at least 3 vertices, got {n}")
-    best: int | None = None
-    for x, y in bridges(g):
-        masks = list(g._masks)
-        masks[x] ^= 1 << y
-        masks[y] ^= 1 << x
-        bound = max(max(_bfs_row(masks, n, x)[0]), max(_bfs_row(masks, n, y)[0]))
-        if best is None or bound < best:
-            best = bound
-    return best
+    if g.n < 3:
+        raise OrderTooSmallError(f"cut-edge bound needs at least 3 vertices, got {g.n}")
+    rows = g.distances
+    return min((max(map(min, rows[x], rows[y])) for x, y in bridges(g)), default=None)
 
 
 # -- theorem harness ----------------------------------------------------------------
@@ -374,8 +368,11 @@ def check_graph(
     if check_witnesses:
         for rule, report in reports.items():
             tracks = extract_witness_tracks(report)
-            if not _witness_holds(validate_tracks(g, tracks), report.value, exact=True):
+            validation = validate_tracks(g, tracks)
+            if not _witness_holds(validation, report.value, exact=True):
                 violations.append(f"witness_roundtrip_{rule.value}")
+            if not validation.conforms:
+                continue  # the transforms refuse tracks that break the rule
             if rule is MovementRule.ACTIVE:
                 lazier = direct_to_lazy(g, tracks)
                 if not _witness_holds(validate_tracks(g, lazier), report.value - 1):

@@ -13,6 +13,7 @@ engine and the oracle on the ten order-5 radius-2 classes.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass
 
@@ -398,3 +399,20 @@ def test_criterion_10_bounds(exhaustive_report, random_report):
         seconds,
         f"violations: {bad[:5]}; fig6 ok: {figures_ok}",
     )
+
+
+# SHA-256 of each sweep's ``--records`` lines, newline-terminated: any
+# change to a span, bound, oracle verdict or violation on one graph shows.
+RECORD_DIGESTS = (
+    (27_476, "8d1b9e72f99ab62cf4a02a9304a88f0cc8c9238180cbb25cd9431bb88e4df4b7"),
+    (500, "5869d7b7f13de5329080bfbc6e8a178ce93f110e22526a7dc26f53301f65dfaf"),
+)
+
+
+def test_record_lines_pinned(exhaustive_report, random_report):
+    got = []
+    for report, _ in (exhaustive_report, random_report):
+        lines = report.record_lines()
+        text = "\n".join(lines) + "\n"
+        got.append((len(lines), hashlib.sha256(text.encode()).hexdigest()))
+    assert tuple(got) == RECORD_DIGESTS

@@ -4,7 +4,6 @@ import networkx as nx
 import pytest
 from hypothesis import given
 
-from spanlab.errors import ThresholdTooLargeError
 from spanlab.families import cycle_graph, named_graph, path_graph
 from spanlab.graph import Graph, _levels
 from spanlab.product import (
@@ -66,9 +65,16 @@ class TestBuildPairGraph:
         assert pg.edge_count == 1
         assert pg.has_edge((0, 1), (1, 0))
 
-    def test_threshold_above_radius_rejected(self):
-        with pytest.raises(ThresholdTooLargeError):
-            build_pair_graph(cycle_graph(4), MovementRule.ACTIVE, 3)
+    def test_threshold_above_radius_keeps_farther_pairs(self):
+        # Above the radius only pairs farther apart than it survive: P4's
+        # two ends at distance 3, and none on C4.  No projection covers.
+        for g, count in ((path_graph(4), 2), (cycle_graph(4), 0)):
+            r = g.radius + 1
+            for rule in ALL_RULES:
+                pg = build_pair_graph(g, rule, r)
+                assert set(pg.pairs()) == brute_force_pairs(g, r)
+                assert pg.vertex_count == count
+                assert components_with_double_surjectivity(pg) == []
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 
 from spanlab import verify
-from spanlab.engine import compute_span
+from spanlab.engine import TrackPair, compute_span, validate_tracks
 from spanlab.errors import OrderTooSmallError, TooLargeError
 from spanlab.families import (
     NAMED_GRAPH_IDS,
@@ -284,6 +284,32 @@ class TestCheckTheorems:
         for jobs in (1, 2):
             with pytest.raises(ValueError, match="oracle"):
                 check_theorems(corpus, jobs=jobs, oracle_max_n=ORACLE_MAX_N + 1)
+
+    @pytest.mark.parametrize("broken", ["active_stay", "lazy_both_move"])
+    def test_nonconforming_witness_is_recorded_not_raised(self, broken, monkeypatch):
+        # A stay step breaks the active rule, and the active witness's steps,
+        # where both actors move, break the lazy rule.  The transforms raise
+        # on such tracks, so the harness must record the round trip's
+        # violation and skip the transform.
+        g = paramecium_graph(5)
+        real = verify.extract_witness_tracks
+        active = real(compute_span(g, A))
+        if broken == "active_stay":
+            rule = A
+            bad = TrackPair(active.f[:1] + active.f, active.g[:1] + active.g, A)
+        else:
+            rule = L
+            bad = TrackPair(active.f, active.g, L)
+        assert not validate_tracks(g, bad).conforms
+
+        def extract(report):
+            return bad if report.rule is rule else real(report)
+
+        monkeypatch.setattr(verify, "extract_witness_tracks", extract)
+        want = (f"witness_roundtrip_{rule.value}",)
+        assert check_graph(g, check_witnesses=True).violations == want
+        report = check_theorems([g], jobs=1, check_witnesses=True)
+        assert report.counterexamples == [(emit_graph6(g), want[0])]
 
     def test_parallel_matches_sequential(self):
         # A one-graph corpus gets one worker at jobs=2, in this process.
