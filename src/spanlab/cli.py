@@ -134,7 +134,9 @@ def _sweep(corpus: list[Graph], args: argparse.Namespace) -> int:
         for line in report.summary_lines():
             print(line)
         if records is not None:
-            records.write("\n".join(report.record_lines()) + "\n")
+            # One terminated line per record: an empty corpus leaves an
+            # empty file, not a blank line.
+            records.writelines(line + "\n" for line in report.record_lines())
     return 1 if report.counterexamples else 0
 
 

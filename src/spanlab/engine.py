@@ -46,6 +46,7 @@ from .graph import Graph, _bits, _levels
 from .product import (  # noqa: F401
     MovementRule,
     Pair,
+    _pair_space,
     build_pair_graph,
     components_with_double_surjectivity,
     pair_neighbors,
@@ -154,17 +155,13 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     components that bucket touched can have just started covering; among
     them, and both halves of each set, the one with the smallest pair index
     is the witness.  Threshold 0 joins every pair, so the sweep always ends
-    with a witness.
+    with a witness.  The buckets and the step table come from the graph's
+    pair space (``product._pair_space``), so the sweeps under the three
+    rules and the witness walks of one graph build them once.
     """
     n = g.n
-    top = g.radius
     step = pair_neighbors(g, rule)
-    buckets: list[list[int]] = [[] for _ in range(top + 1)]
-    add = [bucket.append for bucket in buckets]
-    # Only pairs with u <= v join; row u from column u onwards holds them.
-    for u, row in enumerate(g.distances):
-        for i, d in enumerate(row[u:], u * n + u):
-            add[d if d < top else top](i)
+    buckets = _pair_space(g).buckets
 
     # A component's cover has bit u for each first coordinate u and bit
     # n + v for each second coordinate v of its members; swapping its two
@@ -181,7 +178,7 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
         return i
 
     live = 0
-    for r in range(top, -1, -1):
+    for r in range(g.radius, -1, -1):
         won = []  # roots of covering components, all new in this bucket
         for i in buckets[r]:
             u, v = divmod(i, n)

@@ -4,8 +4,9 @@ Vertices are dense integers ``0..n-1``; optional external names live in a
 side table (``labels``).  All-pairs hop distances are computed eagerly at
 construction and kept as a tuple of row tuples (``Graph.distances``, read as
 ``d[u][v]``), so every later query is a table lookup.  A Graph is immutable
-after construction and safe to share across threads; every function in this
-module is pure.
+after construction, apart from derived tables it fills on first use (see
+``Graph``), and safe to share across threads; every function in this module
+is pure.
 """
 
 from __future__ import annotations
@@ -61,11 +62,18 @@ class Graph:
     ids, empty graphs and disconnected graphs, and orders over
     ``MAX_ORDER`` before anything is allocated.  The single-vertex graph is
     admitted.
+
+    ``_pairs`` holds the graph's pair space (``product._pair_space``): the
+    distance buckets and step table every span sweep and witness walk of
+    the graph shares.  It is ``None`` until the first of them fills it, and
+    then stays with the graph; ``verify.check_graph`` drops it when its
+    check is done.  Two threads may both fill it; they build equal tuples,
+    and either may be kept.
     """
 
     # ``_masks`` answers bit tests and ``_adj`` iteration; the edge list,
     # edge count, radius and diameter are derived from them on demand.
-    __slots__ = ("n", "labels", "_adj", "_masks", "_dist", "_ecc")
+    __slots__ = ("n", "labels", "_adj", "_masks", "_dist", "_ecc", "_pairs")
 
     def __init__(
         self,
@@ -114,6 +122,7 @@ class Graph:
         self._adj = tuple(tuple(_bits(m)) for m in masks)
         self._dist = tuple(rows)
         self._ecc = tuple(max(row) for row in rows)
+        self._pairs = None
 
     # -- basic accessors -------------------------------------------------
 

@@ -18,6 +18,9 @@ Pair vertices are indexed ``u * n + v``.  ``pair_neighbors`` is the one
 definition of a rule's step: it maps a pair index to the bitmask of the
 pair indices one step away.  The span sweep and the witness search in
 ``engine`` call it directly, on live pairs and on a component's members.
+What does not depend on the rule, the step table and the sweep's distance
+buckets, is the graph's pair space (``_pair_space``): built once per graph
+on first use, kept in the graph, and shared by every sweep and walk.
 ``build_pair_graph`` materialises the whole graph at one threshold from the
 same step; the tests use it as the reference the sweep is compared against.
 Its components are unions of breadth-first levels from ``graph._levels``,
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graph import Graph, _bits, _levels
 
@@ -127,20 +130,52 @@ class PairGraph:
         ]
 
 
+class _PairSpace(NamedTuple):
+    """The rule-independent pair tables of one graph."""
+
+    # buckets[r] holds the pair indices u * n + v with u <= v and
+    # min(d(u, v), radius) == r, ascending: the order the sweep joins them.
+    buckets: tuple[tuple[int, ...], ...]
+    # spread[u] has bit w * n set for each neighbour w of u.  Multiplying an
+    # n-bit mask by it lays one copy into each neighbour's block of n pair
+    # indices; the copies cannot overlap, so no carry crosses a block.
+    spread: tuple[int, ...]
+
+
+def _pair_space(g: Graph) -> _PairSpace:
+    """The pair space of ``g``, built on first use and kept in ``g._pairs``.
+
+    It stays with the graph until ``verify.check_graph`` drops it.  On
+    K30,30 it holds 1,830 bucketed pair indices and 60 spread masks of
+    3,600 bits, about 89 KB.
+    """
+    space = g._pairs
+    if space is None:
+        n = g.n
+        top = g.radius
+        buckets: list[list[int]] = [[] for _ in range(top + 1)]
+        add = [bucket.append for bucket in buckets]
+        # Only pairs with u <= v join; row u from column u onwards holds them.
+        for u, row in enumerate(g.distances):
+            for i, d in enumerate(row[u:], u * n + u):
+                add[d if d < top else top](i)
+        spread = tuple(sum(1 << (w * n) for w in row) for row in g._adj)
+        space = g._pairs = _PairSpace(tuple(map(tuple, buckets)), spread)
+    return space
+
+
 def pair_neighbors(g: Graph, rule: MovementRule) -> Callable[[int], int]:
     """The rule's one step, as a map from a pair index to a neighbour bitmask.
 
     The returned function sends pair index ``u * n + v`` to the bitmask of
     every pair index one step away under ``rule``, over all ``n * n`` pairs
     with no distance filter; callers AND it with the pairs they keep.  This
-    is the only place a rule's step is spelled out.
+    is the only place a rule's step is spelled out.  It reads the step
+    table from the graph's pair space, so every call on one graph shares it.
     """
     n = g.n
     masks = g._masks
-    # spread[u] has bit w * n set for each neighbour w of u.  Multiplying an
-    # n-bit mask by it lays one copy into each neighbour's block of n pair
-    # indices; the copies cannot overlap, so no carry crosses a block.
-    spread = [sum(1 << (w * n) for w in row) for row in g._adj]
+    spread = _pair_space(g).spread
     if rule is MovementRule.ACTIVE:
 
         def step(i: int) -> int:

@@ -339,7 +339,12 @@ def check_graph(
     check_witnesses: bool = False,
     oracle_max_n: int = 5,
 ) -> GraphRecord:
-    """Measure one graph and flag every violated relation."""
+    """Measure one graph and flag every violated relation.
+
+    The three sweeps and three walks share the graph's pair space
+    (``Graph._pairs``); it is dropped once they are done, so a corpus
+    held in memory does not keep one per checked graph.
+    """
     reports = {rule: compute_span(g, rule) for rule in RULES}
     strong = reports[MovementRule.TRADITIONAL].value
     direct = reports[MovementRule.ACTIVE].value
@@ -382,6 +387,7 @@ def check_graph(
                 if not _witness_holds(validate_tracks(g, activer), report.value - 1):
                     violations.append("transform_lazy_to_direct")
 
+    g._pairs = None
     return GraphRecord(
         graph6=emit_graph6(g),
         n=g.n,

@@ -550,6 +550,13 @@ class TestVerifyCommands:
         assert len(lines) == 4
         assert all(line.startswith("graph6=") for line in lines)
 
+    def test_empty_sweep_writes_empty_records_file(self, tmp_path, capsys):
+        # No record, no line: a blank line is not a record.
+        records = tmp_path / "records.txt"
+        assert main(["verify-random", "--count", "0", "--records", str(records)]) == 0
+        assert records.read_bytes() == b""
+        assert "graphs checked: 0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", [["verify-enumerate", "--n", "3"], ["verify-random", "--count", "3"]])
     @pytest.mark.parametrize("target", ["missing/records.txt", "."])
     def test_unwritable_records_exits_2_before_sweep(self, command, target, tmp_path, monkeypatch, capsys):

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
+import pickle
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given
 
-from spanlab.families import cycle_graph, named_graph, path_graph
+from spanlab.engine import compute_span, extract_witness_tracks
+from spanlab.families import complete_bipartite_graph, cycle_graph, named_graph, path_graph
 from spanlab.graph import Graph, _levels
 from spanlab.product import (
     MovementRule,
+    _pair_space,
     build_pair_graph,
     components_with_double_surjectivity,
     pair_neighbors,
 )
 from spanlab.verify import enumerate_connected
 
-from conftest import connected_graphs
+from conftest import connected_graphs, floyd_warshall
 
 ALL_RULES = (MovementRule.TRADITIONAL, MovementRule.ACTIVE, MovementRule.LAZY)
 
@@ -212,3 +217,63 @@ class TestComponents:
         pg = build_pair_graph(path_graph(4), MovementRule.ACTIVE, 1)
         comps = pg.components()
         assert sorted(p for comp in comps for p in comp) == sorted(pg.pairs())
+
+
+def reference_pair_space(g):
+    """The pair space's tables from scratch: buckets of ``u <= v`` pairs by
+    ``min(d(u, v), radius)``, and for each vertex u the mask with bit
+    ``w * n`` set for each neighbour w."""
+    n = g.n
+    d = floyd_warshall(g)
+    top = min(max(row) for row in d)
+    buckets = [[] for _ in range(top + 1)]
+    for u in range(n):
+        for v in range(u, n):
+            buckets[min(d[u][v], top)].append(u * n + v)
+    spread = [sum(1 << (w * n) for w in range(n) if g.has_edge(u, w)) for u in range(n)]
+    return buckets, spread
+
+
+def spans_and_walks(g, rules):
+    out = {}
+    for rule in rules:
+        report = compute_span(g, rule)
+        tracks = extract_witness_tracks(report)
+        out[rule] = (report.value, report.members, tracks.f, tracks.g)
+    return out
+
+
+def shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestPairSpace:
+    def test_shared_tables_are_exact_and_read_only(self):
+        graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+        graphs += [shuffled(path_graph(16), 16), shuffled(complete_bipartite_graph(8, 8), 8)]
+        assert len(graphs) == 774
+        for g in graphs:
+            # Each rule on its own fresh graph shares no table with another.
+            alone = {rule: spans_and_walks(Graph(g.n, g.edges()), [rule])[rule] for rule in ALL_RULES}
+            assert g._pairs is None
+            forward = spans_and_walks(g, ALL_RULES)
+            space = _pair_space(g)
+            backward = spans_and_walks(g, ALL_RULES[::-1])
+            assert _pair_space(g) is space
+            assert forward == backward == alone, g.edges()
+
+            buckets, spread = reference_pair_space(g)
+            assert type(space.buckets) is tuple and type(space.spread) is tuple
+            assert all(type(bucket) is tuple for bucket in space.buckets)
+            assert [list(bucket) for bucket in space.buckets] == buckets, g.edges()
+            assert list(space.spread) == spread, g.edges()
+
+    def test_pickled_graph_keeps_its_spans(self):
+        for g in (named_graph("fig1"), shuffled(path_graph(16), 3), complete_bipartite_graph(4, 5)):
+            before = spans_and_walks(g, ALL_RULES)
+            copy = pickle.loads(pickle.dumps(g))
+            assert copy == g
+            assert spans_and_walks(copy, ALL_RULES) == before
+            assert _pair_space(copy) == _pair_space(g)

@@ -245,6 +245,12 @@ class TestCheckTheorems:
         assert record.ok
         assert record.cut_bound == 2
 
+    def test_checked_graph_drops_its_pair_space(self):
+        # A held corpus must not keep every checked graph's pair tables.
+        corpus = [paramecium_graph(3), cycle_graph(5)]
+        check_theorems(corpus, jobs=1, check_witnesses=True)
+        assert [g._pairs for g in corpus] == [None, None]
+
     def test_record_line_shape(self):
         record = check_graph(cycle_graph(5))
         line = record.to_line()

@@ -1,0 +1,189 @@
+"""Mutation gate: every listed mutant of ``src/`` must fail its named tests.
+
+Run from anywhere (the paths are taken from this file's place in the
+repository); it runs every mutant in ``MUTANTS``:
+
+    python tools/mutation_gate.py
+
+A mutant is one exact text edit to one file of ``src/spanlab``.  For each,
+the script copies ``src/`` to a temporary directory, applies the edit there
+and runs the mutant's tests against the copy with ``pytest -x``.  The
+working tree is never edited.  The gate fails (exit 1) when
+
+* a mutant survives: its tests pass, so they miss the fault it plants;
+* a mutant's old text does not occur exactly once in its file, so an edit
+  to the program cannot leave a mutant stale without notice;
+* the tests cannot run as named (pytest exits with neither 0 nor 1), the
+  copy is not the ``spanlab`` the tests import, or the tests fail on the
+  unmutated copy, which they run on first.
+
+Only the standard library and pytest are needed.  The gate only adds
+checks; it replaces no test of the suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/spanlab
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "winner-by-max",
+        "engine.py",
+        "winner = min(qualifying, key=lambda m: m & -m)",
+        "winner = max(qualifying, key=lambda m: m & -m)",
+        ("tests/test_span_sweep.py::test_winner_is_chosen_over_its_mirror_image",
+         "tests/test_span_sweep.py::test_golden_digest"),
+    ),
+    Mutant(
+        "winner-own-half-only",
+        "engine.py",
+        "qualifying += (members, mirror)",
+        "qualifying.append(members)",
+        ("tests/test_span_sweep.py::test_winner_is_chosen_over_its_mirror_image",),
+    ),
+    Mutant(
+        "joined-without-cover-swap",
+        "engine.py",
+        "                    members = mirror = members | mirror\n"
+        "                    cover |= cover >> n | (cover & block) << n\n",
+        "                    members = mirror = members | mirror\n",
+        ("tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent",),
+    ),
+    Mutant(
+        "joined-growing-half-only",
+        "engine.py",
+        "joined = members == mirror or o_members == o_mirror",
+        "joined = members == mirror",
+        ("tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent",),
+    ),
+    Mutant(
+        "joined-neighbour-half-only",
+        "engine.py",
+        "joined = members == mirror or o_members == o_mirror",
+        "joined = o_members == o_mirror",
+        ("tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent",),
+    ),
+    Mutant(
+        "cut-bound-max-for-min",
+        "verify.py",
+        "max(map(min, rows[x], rows[y]))",
+        "max(map(max, rows[x], rows[y]))",
+        ("tests/test_verify.py", "tests/test_witness_checks.py::test_cut_edge_bound_matches_side_graphs"),
+    ),
+    Mutant(
+        "binary-tree-height-1-row",
+        "families.py",
+        "spans=lambda h: (h - 1, h - 1, h - 1) if h > 1 else (1, 1, 0),",
+        "spans=lambda h: (h - 1, h - 1, h - 1),",
+        ("tests/test_acceptance.py::test_criterion_03_binary_trees",),
+    ),
+    Mutant(
+        "checked-graph-keeps-pair-space",
+        "verify.py",
+        "    g._pairs = None\n",
+        "",
+        ("tests/test_verify.py::TestCheckTheorems::test_checked_graph_drops_its_pair_space",),
+    ),
+    Mutant(
+        "records-blank-line",
+        "cli.py",
+        'records.writelines(line + "\\n" for line in report.record_lines())',
+        'records.write("\\n".join(report.record_lines()) + "\\n")',
+        ("tests/test_cli.py::TestVerifyCommands::test_empty_sweep_writes_empty_records_file",),
+    ),
+    Mutant(
+        "spread-as-list",
+        "product.py",
+        "spread = tuple(sum(1 << (w * n) for w in row) for row in g._adj)",
+        "spread = [sum(1 << (w * n) for w in row) for row in g._adj]",
+        ("tests/test_product.py::TestPairSpace",),
+    ),
+)
+
+
+def stale(mutant: Mutant) -> str | None:
+    """Why ``mutant`` no longer applies to the working tree, or None."""
+    text = (SRC / "spanlab" / mutant.file).read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        return f"old text occurs {count} times in src/spanlab/{mutant.file}, not once"
+    return None
+
+
+def run_tests(tests: tuple[str, ...], mutant: Mutant | None = None) -> tuple[int | str, float]:
+    """Run ``tests`` with ``pytest -x`` on a copy of ``src/``, with
+    ``mutant`` applied if given: pytest's exit code, or why the tests could
+    not run on the copy, and the seconds taken."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        if mutant is not None:
+            target = src / "spanlab" / mutant.file
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        where = subprocess.run(
+            [sys.executable, "-c", "import spanlab; print(spanlab.__file__)"],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+        if not where.stdout.startswith(str(src)):
+            return f"the tests import {where.stdout.strip() or where.stderr.strip()}", 0.0
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+    seconds = time.perf_counter() - start
+    if proc.returncode in (0, 1):
+        return proc.returncode, seconds
+    tail = (proc.stdout + proc.stderr).strip().splitlines()[-1:]
+    return f"pytest exited {proc.returncode}: {' '.join(tail)}", seconds
+
+
+def main() -> int:
+    # Every mutant must still apply before any runs.
+    problems = [(m.name, why) for m in MUTANTS if (why := stale(m))]
+    for name, why in problems:
+        print(f"STALE    {name}: {why}")
+    if problems:
+        return 1
+
+    # The tests must pass on the unmutated copy, or a kill says nothing.
+    code, seconds = run_tests(tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
+    if code != 0:
+        print(f"ERROR    the mutants' tests fail unmutated ({seconds:.1f} s): {code}")
+        return 1
+    print(f"ok       unmutated ({seconds:.1f} s)", flush=True)
+
+    failed = 0
+    for m in MUTANTS:
+        code, seconds = run_tests(m.tests, m)
+        verdict = {1: "killed", 0: "SURVIVED"}.get(code, "ERROR")
+        failed += verdict != "killed"
+        detail = f": {code}" if verdict == "ERROR" else ""
+        print(f"{verdict:<8} {m.name} ({seconds:.1f} s){detail}", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
