@@ -402,9 +402,13 @@ def move_attribution(g: Graph, t: TrackPair) -> MoveAttribution:
     """Per-step mover sequence of a lazy-conformant track pair."""
     if t.rule is not MovementRule.LAZY or not validate_tracks(g, t).conforms:
         raise NotLazyConformantError("tracks do not follow the lazy rule")
-    return MoveAttribution(
-        tuple(1 if t.f[i] != t.f[i + 1] else 2 for i in range(t.length - 1))
-    )
+    return MoveAttribution(_movers(t))
+
+
+def _movers(t: TrackPair) -> tuple[int, ...]:
+    # Under the lazy rule exactly one actor moves, so Bob moved where Alice
+    # did not.
+    return tuple(1 if a != c else 2 for a, c in zip(t.f, t.f[1:]))
 
 
 def direct_to_lazy(g: Graph, t: TrackPair) -> TrackPair:
@@ -417,6 +421,11 @@ def direct_to_lazy(g: Graph, t: TrackPair) -> TrackPair:
     """
     if t.rule is not MovementRule.ACTIVE or not validate_tracks(g, t).conforms:
         raise NotActiveConformantError("tracks do not follow the active rule")
+    return _direct_to_lazy(t)
+
+
+def _direct_to_lazy(t: TrackPair) -> TrackPair:
+    # ``direct_to_lazy`` on tracks already known to follow the active rule.
     f, b = t.f, t.g
     steps = 2 * t.length - 1
     f2 = tuple(f[(j + 1) // 2] for j in range(steps))
@@ -435,7 +444,14 @@ def lazy_to_direct(g: Graph, t: TrackPair) -> TrackPair:
     at distance >= r, so the minimum distance drops by at most 1.  The
     output length is ``l - a`` where ``a`` counts the mixed pairs.
     """
-    x = move_attribution(g, t).x  # raises if not lazy-conformant
+    if t.rule is not MovementRule.LAZY or not validate_tracks(g, t).conforms:
+        raise NotLazyConformantError("tracks do not follow the lazy rule")
+    return _lazy_to_direct(g, t)
+
+
+def _lazy_to_direct(g: Graph, t: TrackPair) -> TrackPair:
+    # ``lazy_to_direct`` on tracks already known to follow the lazy rule.
+    x = _movers(t)
     f, b = t.f, t.g
 
     fp = [f[0]]

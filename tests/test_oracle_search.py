@@ -14,6 +14,7 @@ from collections import deque
 
 import pytest
 
+from spanlab.engine import compute_span
 from spanlab.graph import Graph
 from spanlab.product import MovementRule
 from spanlab.verify import RULES, _coverable, enumerate_connected
@@ -80,7 +81,6 @@ def reference_coverable(g: Graph, r: int, rule: MovementRule) -> bool:
     return False
 
 
-
 def _corpus() -> list[Graph]:
     """Every labelled connected graph of order <= 4 and every class of order 5.
 
@@ -98,3 +98,17 @@ def test_depth_first_matches_breadth_first(rule):
     for g in corpus:
         for r in range(g.radius + 2):
             assert _coverable(g, r, rule) == reference_coverable(g, r, rule), (g.edges(), r)
+
+
+def test_matches_the_engine_at_every_threshold_on_order_6_classes():
+    # Coverability falls as the threshold rises, so the oracle must answer
+    # yes exactly up to the engine's span.  The breadth-first reference is
+    # too slow for order 6; this checks every threshold, not just the span
+    # that ``oracle_span`` descends to.
+    classes = list(enumerate_connected(6, dedup=True))
+    assert len(classes) == 112
+    for g in classes:
+        for rule in RULES:
+            span = compute_span(g, rule).value
+            for r in range(g.radius + 2):
+                assert _coverable(g, r, rule) == (r <= span), (g.edges(), rule, r)

@@ -2,14 +2,26 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 
-from spanlab import verify
-from spanlab.engine import TrackPair, compute_span, validate_tracks
-from spanlab.errors import OrderTooSmallError, TooLargeError
+from spanlab import engine, verify
+from spanlab.engine import (
+    TrackPair,
+    compute_span,
+    direct_to_lazy,
+    lazy_to_direct,
+    validate_tracks,
+)
+from spanlab.errors import (
+    NotActiveConformantError,
+    NotLazyConformantError,
+    OrderTooSmallError,
+    TooLargeError,
+)
 from spanlab.families import (
     NAMED_GRAPH_IDS,
     cycle_graph,
@@ -316,6 +328,32 @@ class TestCheckTheorems:
         assert check_graph(g, check_witnesses=True).violations == want
         report = check_theorems([g], jobs=1, check_witnesses=True)
         assert report.counterexamples == [(emit_graph6(g), want[0])]
+
+    def test_each_witness_is_validated_once(self, monkeypatch):
+        # One validation per rule's witness and one per transformed witness:
+        # the transforms must not validate again what the harness has just
+        # validated.  Both bindings are wrapped, since the public transforms
+        # call the engine's and the harness calls its own.
+        calls = []
+
+        def counted(g, t):
+            calls.append(t.rule)
+            return validate_tracks(g, t)
+
+        monkeypatch.setattr(engine, "validate_tracks", counted)
+        monkeypatch.setattr(verify, "validate_tracks", counted)
+        record = check_graph(paramecium_graph(5), check_witnesses=True)
+        assert record.ok
+        assert Counter(calls) == {T: 1, A: 2, L: 2}
+
+    def test_public_transforms_still_refuse_nonconforming_tracks(self):
+        g = paramecium_graph(5)
+        active = verify.extract_witness_tracks(compute_span(g, A))
+        stay = TrackPair(active.f[:1] + active.f, active.g[:1] + active.g, A)
+        with pytest.raises(NotActiveConformantError):
+            direct_to_lazy(g, stay)
+        with pytest.raises(NotLazyConformantError):
+            lazy_to_direct(g, TrackPair(active.f, active.g, L))
 
     def test_parallel_matches_sequential(self):
         # A one-graph corpus gets one worker at jobs=2, in this process.

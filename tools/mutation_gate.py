@@ -117,6 +117,33 @@ MUTANTS = (
         "spread = [sum(1 << (w * n) for w in row) for row in g._adj]",
         ("tests/test_product.py::TestPairSpace",),
     ),
+    Mutant(
+        "oracle-lazy-drops-bob",
+        "verify.py",
+        "options = [(u2, v) for u2 in adj[u]] + [(u, v2) for v2 in adj[v]]",
+        "options = [(u2, v) for u2 in adj[u]]",
+        ("tests/test_oracle_search.py::test_depth_first_matches_breadth_first",
+         "tests/test_oracle_search.py::test_matches_the_engine_at_every_threshold_on_order_6_classes"),
+    ),
+    Mutant(
+        # Testing one actor's seen bits alone is no fault: it gives the same
+        # answer on every graph of order <= 7, so this mutant drops vertex 0
+        # from both.
+        "oracle-complete-without-vertex-0",
+        "verify.py",
+        "if nxt & seen_mask == seen_mask:",
+        "if (nxt | 1 << n | 1) & seen_mask == seen_mask:",
+        ("tests/test_oracle_search.py::test_depth_first_matches_breadth_first",
+         "tests/test_oracle_search.py::test_matches_the_engine_at_every_threshold_on_order_6_classes"),
+    ),
+    Mutant(
+        "transform-without-conforms-guard",
+        "verify.py",
+        "            if not validation.conforms:\n"
+        "                continue  # the unchecked transforms need conforming tracks\n",
+        "",
+        ("tests/test_verify.py::TestCheckTheorems::test_nonconforming_witness_is_recorded_not_raised",),
+    ),
 )
 
 
