@@ -19,8 +19,11 @@ sweep's format, a bitmask with bit ``u * n + v`` set for each member pair
 
 Witnesses are greedy covering walks inside the winning component: from its
 smallest pair, repeatedly walk to the nearest member that adds a vertex
-missing from either walk.  Only coverage matters, so the walks stay short:
-400 positions on P200, whose strong-rule component has 39,800 pairs.
+missing from either walk, and among the nearest, first to one that adds a
+missing vertex to both walks (the greedy set-cover choice).  Only coverage
+matters, so the walks stay short: 399, 201 and 399 positions on P200 under
+the strong, direct and cartesian rules, whose strong-rule component has
+39,800 pairs.
 Where the greedy walk would exceed ``2 * |component| - 1`` positions, the
 closed depth-first traversal of a spanning tree of the component, which
 has that length, is returned instead.  Either way the walk is
@@ -142,12 +145,16 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     with its live rule-neighbours, which by symmetry unions its mirror with
     theirs.  Neighbours already inside the growing component are skipped,
     so each neighbouring set costs one ``find``.  A component and its mirror
-    image are disjoint unless they are one, so ``members == mirror`` marks a
-    symmetric set, as a diagonal pair is from the start.  A neighbour in the
-    growing set's own ``mirror`` makes the component meet its mirror image.
-    Otherwise the growing set goes under the neighbour's root, whose half
-    holding the neighbour joins ``members`` and other half ``mirror``,
-    swapping its cover if need be; the merge is symmetric if either side was.
+    image are disjoint unless they are one, a symmetric set, which keeps a
+    single mask as both ``members`` and ``mirror``: a diagonal pair starts
+    so, and every merge that makes a set symmetric assigns ``members =
+    mirror``.  So ``members is mirror`` marks a symmetric set, and no two
+    masks are compared.  A neighbour in the growing set's own ``mirror``
+    makes the component meet its mirror image.  Otherwise the growing set
+    goes under the neighbour's root.  If either side was symmetric, so is
+    the merge, and one mask takes both halves of each side.  If not, the
+    neighbour's half holding the neighbour joins ``members`` and its other
+    half ``mirror``, swapping its cover if need be.
 
     A component that covers every vertex in both coordinates still does at
     every lower threshold, and it covers exactly when its mirror image does,
@@ -184,7 +191,8 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
             u, v = divmod(i, n)
             m = v * n + u
             parent[m] = i
-            members, mirror = 1 << i, 1 << m
+            members = 1 << i
+            mirror = members if i == m else 1 << m
             live |= members | mirror
             root, cover = i, 1 << u | 1 << (n + v)
             todo = step(i) & live
@@ -197,14 +205,22 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                 if other == root:
                     # j is not in members, so it lies in the mirror image:
                     # the component meets its mirror, and they are one.
-                    joined = True
+                    members = mirror = members | mirror
+                    cover |= cover >> n | (cover & block) << n
                 else:
                     o_members, o_mirror, o_cover = comps.pop(other)
-                    # Read before the masks below are ORed together.
-                    joined = members == mirror or o_members == o_mirror
                     # The growing set goes under the neighbour's root.
                     parent[root] = root = other
-                    if o_members >> j & 1:
+                    if members is mirror or o_members is o_mirror:
+                        # One side is its own mirror image, so the merged
+                        # set is too.  Its one mask is the union of the four
+                        # halves, two of which are one object.
+                        members = mirror = (
+                            members | o_members | (o_mirror if members is mirror else mirror)
+                        )
+                        cover |= o_cover
+                        cover |= cover >> n | (cover & block) << n
+                    elif o_members >> j & 1:
                         members |= o_members
                         mirror |= o_mirror
                         cover |= o_cover
@@ -212,9 +228,6 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                         members |= o_mirror
                         mirror |= o_members
                         cover |= o_cover >> n | (o_cover & block) << n
-                if joined:
-                    members = mirror = members | mirror
-                    cover |= cover >> n | (cover & block) << n
                 todo ^= todo & members
             comps[root] = (members, mirror, cover)
             if cover == covering:
@@ -236,10 +249,16 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
 
     A greedy covering walk that never leaves the witness component.  It
     starts at the component's smallest pair.  While a vertex is missing
-    from either walk, the breadth-first levels from the walk's end inside the
-    members (``graph._levels``) are read up to the first level holding a
-    pair that adds a missing f- or g-coordinate; the smallest such pair is
-    the target.  The path back to the walk's end takes, at each
+    from either walk, the breadth-first levels from the walk's end inside
+    the members are read up to the first level holding a pair that adds a
+    missing f- or g-coordinate.  The target is the smallest pair there that
+    adds both a missing f- and a missing g-coordinate, or the smallest that
+    adds one if none adds both: coverage first, as in greedy set cover.
+    Under the cartesian rule none adds both, since each pair of that level
+    is one actor's move from a pair both walks have visited.
+    Level one is the rule step from the walk's end, tested before any
+    search; most targets lie there, and deeper levels come from
+    ``graph._levels``.  The path back to the walk's end takes, at each
     level, the smallest member adjacent to the node just traced (every
     rule's step is symmetric), and the path is appended.  Every step is a
     rule step between pairs at distance >= the span, so the walks conform,
@@ -249,9 +268,10 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
     Nearest-first covering has no length guarantee of its own, so when the
     greedy walk would exceed ``2 * |component| - 1`` positions the closed
     depth-first traversal of a breadth-first spanning tree, which has that
-    length, is returned instead.  No span witness of a labelled connected
-    graph of order <= 6, or of 1,300 seeded random graphs of order 6..20,
-    needs it; a hand-built component can (``tests/test_span_sweep.py``).
+    length, is returned instead.  Under none of the three rules does a span
+    witness of a labelled connected graph of order <= 6, or of 1,300 seeded
+    random graphs of order 6..20, need it; a hand-built component can
+    (``tests/test_span_sweep.py``).
     """
     members = report.members
     if not members:
@@ -265,8 +285,8 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
     # Bit u * n + v of ``fresh_f`` (``fresh_g``) is set while vertex u (v)
     # is still missing from the f-walk (g-walk).
     block = (1 << n) - 1
-    column = sum(1 << (w * n) for w in range(n))
     fresh_f = fresh_g = (1 << n * n) - 1
+    column = fresh_f // block  # bit w * n for each w
     missing_f = missing_g = block
     walk: list[int] = []
     path = [root]
@@ -288,24 +308,29 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
 
         fresh = members & (fresh_f | fresh_g)
         levels = []
-        for level in _levels(step, walk[-1], members):
-            hit = level & fresh
-            if hit:
-                break
-            levels.append(level)
-        else:
-            raise ValueError(
-                "witness component is not connected or does not cover"
-                " every vertex in both coordinates"
-            )
+        # Level one is the walk's end's own step; most searches stop there.
+        hit = step(walk[-1]) & fresh
+        if not hit:
+            for level in _levels(step, walk[-1], members):
+                hit = level & fresh
+                if hit:
+                    break
+                levels.append(level)
+            else:
+                raise ValueError(
+                    "witness component is not connected or does not cover"
+                    " every vertex in both coordinates"
+                )
 
+        # Prefer the pairs that add a missing vertex to both walks.
+        hit = hit & fresh_f & fresh_g or hit
         path = [(hit & -hit).bit_length() - 1]
         for level in reversed(levels):
             path.append(_nearest(step, path[-1], level))
         path.reverse()
 
-    f = tuple(i // n for i in walk)
-    g = tuple(i % n for i in walk)
+    f = tuple([i // n for i in walk])
+    g = tuple([i % n for i in walk])
     return TrackPair(f, g, report.rule)
 
 
@@ -320,14 +345,19 @@ def _closed_dfs(step: Callable[[int], int], members: int, root: int) -> list[int
 
     The tree spans ``members`` from ``root``.  A node's parent is its
     smallest rule-neighbour one level nearer the root, the rule the greedy
-    walk traces back by; each level is read in ascending pair order, so
-    every node's children are too.  Every tree edge is walked down and back
-    up, giving ``2 * |members| - 1`` positions.
+    walk traces back by.  Each level is read from its top bit, as
+    ``graph._levels`` reads it, so every node's children are listed in
+    descending pair order; pushed in that order, they are visited in
+    ascending order.  Every tree edge is walked down and back up, giving
+    ``2 * |members| - 1`` positions.
     """
     children: dict[int, list[int]] = {}
     above = 1 << root
     for level in _levels(step, root, members):
-        for node in _bits(level):
+        rest = level  # ``_bits`` would negate the whole mask per node
+        while rest:
+            node = rest.bit_length() - 1
+            rest ^= 1 << node
             children.setdefault(_nearest(step, node, above), []).append(node)
         above = level
 
@@ -338,7 +368,7 @@ def _closed_dfs(step: Callable[[int], int], members: int, root: int) -> list[int
     while stack:
         node = stack.pop()
         walk.append(node)
-        for child in reversed(children.pop(node, ())):
+        for child in children.pop(node, ()):
             stack += (node, child)
     return walk
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -28,9 +29,10 @@ from spanlab.families import (
     complete_bipartite_graph,
     cycle_graph,
     hypercube_graph,
+    named_graph,
     path_graph,
 )
-from spanlab.graph import Graph
+from spanlab.graph import Graph, _bits
 from spanlab.product import (
     MovementRule,
     build_pair_graph,
@@ -55,10 +57,11 @@ def reference_greedy(pg, component) -> list:
     """Nearest-first covering walk through the pair graph's own adjacency.
 
     From the smallest pair, search breadth-first inside the component for
-    the nearest level holding a pair that adds an unvisited coordinate,
-    take the smallest such pair, trace back through the levels by the
-    smallest adjacent member, and repeat until both coordinates cover
-    every vertex.
+    the nearest level holding a pair that adds an unvisited coordinate.
+    Take the smallest pair there that adds an unvisited coordinate to both
+    walks, or the smallest that adds one if none does, trace back through
+    the levels by the smallest adjacent member, and repeat until both
+    coordinates cover every vertex.
     """
     n = pg.base.n
     members = set(component)
@@ -76,7 +79,8 @@ def reference_greedy(pg, component) -> list:
             if fresh:
                 break
             levels.append(level)
-        path = [min(fresh)]
+        both = [p for p in fresh if p[0] not in seen_f and p[1] not in seen_g]
+        path = [min(both or fresh)]
         for level in reversed(levels[1:]):
             path.append(next(p for p in pg.neighbors(*path[-1]) if p in level))
         for u, v in path:
@@ -279,6 +283,37 @@ def test_members_mask_is_the_walked_component(rule):
     assert mismatches == []
 
 
+def test_symmetric_sets_keep_one_mask():
+    # The sweep tells a symmetric set by ``members is mirror``, so two equal
+    # masks must be one object at every line of ``compute_span``.  A copy
+    # changes no answer (the pair's mirror-image neighbours soon merge the
+    # two), only the cost of later merges.  Diagonal pairs join at threshold
+    # 0 only, and CPython caches the ints up to 256 = 1 << 8, so these paths
+    # have cartesian span 0 and order >= 4.
+    code = compute_span.__code__
+    copies = []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        local = frame.f_locals
+        members, mirror = local.get("members"), local.get("mirror")
+        if members is not mirror and members == mirror:
+            copies.append(frame.f_lineno)
+        return tracer
+
+    reports = []
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for g in (path_graph(6), relabelled(path_graph(9), 9), path_graph(12)):
+            reports += [compute_span(g, rule) for rule in RULES]
+    finally:
+        sys.settrace(old)
+    assert [r.value for r in reports].count(0) >= 3
+    assert copies == []
+
+
 def test_winner_is_chosen_over_its_mirror_image():
     # Swapping the actors maps the winner W to its mirror image sigma(W), a
     # component that covers just as W does.  Where the two differ, W must be
@@ -300,19 +335,52 @@ def test_winner_is_chosen_over_its_mirror_image():
     assert asymmetric_winners(cycle_graph(k) for k in range(3, 12)) >= 4
 
 
-# SHA-256 of every (edges, rule, span, members, f, g) below.  A change that
-# moves any span, winning component or witness walk, even to an equally
-# valid one, changes it, and must then update it on purpose.
-GOLDEN_DIGEST = "a6c1e6b228cd8da82891ae59616bcc8c2e937bb3169708ba4dc952aacb1b8931"
+def test_walk_prefers_a_pair_new_to_both_walks():
+    # fig1's strong-rule walk starts at (0, 2).  One step away lie (0, 3),
+    # new to Bob's walk only, and (1, 5), new to both; the walk takes (1, 5)
+    # although (0, 3) has the smaller pair index.
+    g = named_graph("fig1")
+    rule = MovementRule.TRADITIONAL
+    report = compute_span(g, rule)
+    near = [divmod(i, g.n) for i in _bits(pair_neighbors(g, rule)(0 * g.n + 2) & report.members)]
+    assert (0, 3) in near and (1, 5) in near
+    tracks = extract_witness_tracks(report)
+    assert list(zip(tracks.f, tracks.g))[:2] == [(0, 2), (1, 5)]
 
 
-def golden_digest() -> str:
+def golden_graphs() -> list[Graph]:
     graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
     graphs += [relabelled(path_graph(n), n) for n in (16, 24, 36, 44)]
     graphs += [relabelled(complete_bipartite_graph(k, k), k) for k in (8, 14)]
     assert len(graphs) == 778
+    return graphs
+
+
+# Walk positions summed over the golden graphs, per rule, so that a
+# heuristic that covers worse shows as a count.  Under the cartesian rule
+# no target is new to both walks: each pair of the nearest level holding a
+# new vertex is one actor's move from a pair both walks have visited.
+WALK_POSITIONS = {"traditional": 5762, "active": 5542, "lazy": 9260}
+
+
+def test_walk_positions_over_golden_graphs():
+    graphs = golden_graphs()
+    totals = {
+        rule.value: sum(extract_witness_tracks(compute_span(g, rule)).length for g in graphs)
+        for rule in RULES
+    }
+    assert totals == WALK_POSITIONS
+
+
+# SHA-256 of every (edges, rule, span, members, f, g) below.  A change that
+# moves any span, winning component or witness walk, even to an equally
+# valid one, changes it, and must then update it on purpose.
+GOLDEN_DIGEST = "a8ba1bd81d3228d3a308620a5e1982b305214cd76c8c20e1434b9f0e42f3cd9c"
+
+
+def golden_digest() -> str:
     digest = hashlib.sha256()
-    for g in graphs:
+    for g in golden_graphs():
         for rule in RULES:
             report = compute_span(g, rule)
             tracks = extract_witness_tracks(report)
