@@ -145,16 +145,12 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     with its live rule-neighbours, which by symmetry unions its mirror with
     theirs.  Neighbours already inside the growing component are skipped,
     so each neighbouring set costs one ``find``.  A component and its mirror
-    image are disjoint unless they are one, a symmetric set, which keeps a
-    single mask as both ``members`` and ``mirror``: a diagonal pair starts
-    so, and every merge that makes a set symmetric assigns ``members =
-    mirror``.  So ``members is mirror`` marks a symmetric set, and no two
-    masks are compared.  A neighbour in the growing set's own ``mirror``
-    makes the component meet its mirror image.  Otherwise the growing set
-    goes under the neighbour's root.  If either side was symmetric, so is
-    the merge, and one mask takes both halves of each side.  If not, the
-    neighbour's half holding the neighbour joins ``members`` and its other
-    half ``mirror``, swapping its cover if need be.
+    image are disjoint unless they are one, so ``members == mirror`` marks a
+    symmetric set, as a diagonal pair is from the start.  A neighbour in the
+    growing set's own ``mirror`` makes the component meet its mirror image.
+    Otherwise the growing set goes under the neighbour's root, whose half
+    holding the neighbour joins ``members`` and other half ``mirror``,
+    swapping its cover if need be; the merge is symmetric if either side was.
 
     A component that covers every vertex in both coordinates still does at
     every lower threshold, and it covers exactly when its mirror image does,
@@ -191,8 +187,7 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
             u, v = divmod(i, n)
             m = v * n + u
             parent[m] = i
-            members = 1 << i
-            mirror = members if i == m else 1 << m
+            members, mirror = 1 << i, 1 << m
             live |= members | mirror
             root, cover = i, 1 << u | 1 << (n + v)
             todo = step(i) & live
@@ -205,22 +200,14 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                 if other == root:
                     # j is not in members, so it lies in the mirror image:
                     # the component meets its mirror, and they are one.
-                    members = mirror = members | mirror
-                    cover |= cover >> n | (cover & block) << n
+                    joined = True
                 else:
                     o_members, o_mirror, o_cover = comps.pop(other)
+                    # Read before the masks below are ORed together.
+                    joined = members == mirror or o_members == o_mirror
                     # The growing set goes under the neighbour's root.
                     parent[root] = root = other
-                    if members is mirror or o_members is o_mirror:
-                        # One side is its own mirror image, so the merged
-                        # set is too.  Its one mask is the union of the four
-                        # halves, two of which are one object.
-                        members = mirror = (
-                            members | o_members | (o_mirror if members is mirror else mirror)
-                        )
-                        cover |= o_cover
-                        cover |= cover >> n | (cover & block) << n
-                    elif o_members >> j & 1:
+                    if o_members >> j & 1:
                         members |= o_members
                         mirror |= o_mirror
                         cover |= o_cover
@@ -228,6 +215,9 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                         members |= o_mirror
                         mirror |= o_members
                         cover |= o_cover >> n | (o_cover & block) << n
+                if joined:
+                    members = mirror = members | mirror
+                    cover |= cover >> n | (cover & block) << n
                 todo ^= todo & members
             comps[root] = (members, mirror, cover)
             if cover == covering:
@@ -255,15 +245,15 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
     adds both a missing f- and a missing g-coordinate, or the smallest that
     adds one if none adds both: coverage first, as in greedy set cover.
     Under the cartesian rule none adds both, since each pair of that level
-    is one actor's move from a pair both walks have visited.
-    Level one is the rule step from the walk's end, tested before any
-    search; most targets lie there, and deeper levels come from
-    ``graph._levels``.  The path back to the walk's end takes, at each
-    level, the smallest member adjacent to the node just traced (every
-    rule's step is symmetric), and the path is appended.  Every step is a
-    rule step between pairs at distance >= the span, so the walks conform,
-    cover every vertex in both coordinates, and their minimum distance
-    equals the span.
+    is one actor's move from a pair both walks have visited.  Level one,
+    the rule step from the walk's end, is tested before any search, since
+    most targets lie there; the deeper levels come from ``graph._levels``,
+    handed that step so it is not taken twice.  The path back to the walk's
+    end takes, at each level, the smallest member adjacent to the node just
+    traced (every rule's step is symmetric), and the path is appended.
+    Every step is a rule step between pairs at distance >= the span, so
+    the walks conform, cover every vertex in both coordinates, and their
+    minimum distance equals the span.
 
     Nearest-first covering has no length guarantee of its own, so when the
     greedy walk would exceed ``2 * |component| - 1`` positions the closed
@@ -308,10 +298,12 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
 
         fresh = members & (fresh_f | fresh_g)
         levels = []
-        # Level one is the walk's end's own step; most searches stop there.
-        hit = step(walk[-1]) & fresh
+        # Most targets lie one step from the walk's end, so that step is
+        # tested before a search starts, and the search starts from it.
+        near = step(walk[-1])
+        hit = near & fresh
         if not hit:
-            for level in _levels(step, walk[-1], members):
+            for level in _levels(step, walk[-1], members, near):
                 hit = level & fresh
                 if hit:
                     break

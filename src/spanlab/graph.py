@@ -37,12 +37,15 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _levels(step: Callable[[int], int], source: int, within: int) -> Iterator[int]:
+def _levels(
+    step: Callable[[int], int], source: int, within: int, near: int | None = None
+) -> Iterator[int]:
     """Yield the breadth-first levels from ``source`` inside the bitmask
     ``within``, which holds it: the k-th yield is the bitmask of the nodes
-    k ``step``s away, from k = 1.  Stops at the first empty level."""
+    k ``step``s away, from k = 1.  Stops at the first empty level.  A
+    caller that already holds ``step(source)`` passes it as ``near``."""
     unseen = within ^ 1 << source
-    level = step(source) & unseen
+    level = (step(source) if near is None else near) & unseen
     while level:
         yield level
         unseen ^= level
