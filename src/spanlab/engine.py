@@ -504,14 +504,9 @@ def _bounce(g: Graph, stay: int, other: int) -> int:
     """Detour neighbour for an actor parked at ``stay``.
 
     Any neighbour keeps the distance bound; picking the one farthest from
-    the other actor (smallest id on ties) keeps outputs deterministic and
-    as safe as possible.
+    the other actor (smallest id on ties: ``max`` keeps the first maximum
+    and ``_adj`` rows ascend) keeps outputs deterministic and as safe as
+    possible.
     """
-    best = -1
-    best_d = -1
     rows = g.distances
-    for w in g.neighbors(stay):
-        dw = rows[w][other]
-        if dw > best_d:
-            best, best_d = w, dw
-    return best
+    return max(g._adj[stay], key=lambda w: rows[w][other])

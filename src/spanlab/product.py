@@ -18,7 +18,7 @@ Pair vertices are indexed ``u * n + v``.  ``pair_neighbors`` is the one
 definition of a rule's step: it maps a pair index to the bitmask of the
 pair indices one step away.  The span sweep and the witness search in
 ``engine`` call it directly, on live pairs and on a component's members.
-What does not depend on the rule, the step table and the sweep's distance
+What does not depend on the rule, the step tables and the sweep's distance
 buckets, is the graph's pair space (``_pair_space``): built once per graph
 on first use, kept in the graph, and shared by every sweep and walk.
 ``build_pair_graph`` materialises the whole graph at one threshold from the
@@ -140,14 +140,19 @@ class _PairSpace(NamedTuple):
     # n-bit mask by it lays one copy into each neighbour's block of n pair
     # indices; the copies cannot overlap, so no carry crosses a block.
     spread: tuple[int, ...]
+    # The traditional rule's closed neighbourhoods: closed[v] is v's
+    # neighbour mask with bit v set, closed_spread[u] is spread[u] with
+    # bit u * n set.
+    closed: tuple[int, ...]
+    closed_spread: tuple[int, ...]
 
 
 def _pair_space(g: Graph) -> _PairSpace:
     """The pair space of ``g``, built on first use and kept in ``g._pairs``.
 
     It stays with the graph until ``verify.check_graph`` drops it.  On
-    K30,30 it holds 1,830 bucketed pair indices and 60 spread masks of
-    3,600 bits, about 89 KB.
+    K30,30 it holds 1,830 bucketed pair indices, 60 spread masks and 60
+    closed spread masks of 3,600 bits, and 60 closed masks, about 119 KB.
     """
     space = g._pairs
     if space is None:
@@ -160,7 +165,11 @@ def _pair_space(g: Graph) -> _PairSpace:
             for i, d in enumerate(row[u:], u * n + u):
                 add[d if d < top else top](i)
         spread = tuple(sum(1 << (w * n) for w in row) for row in g._adj)
-        space = g._pairs = _PairSpace(tuple(map(tuple, buckets)), spread)
+        closed = tuple(m | 1 << v for v, m in enumerate(g._masks))
+        closed_spread = tuple(s | 1 << (u * n) for u, s in enumerate(spread))
+        space = g._pairs = _PairSpace(
+            tuple(map(tuple, buckets)), spread, closed, closed_spread
+        )
     return space
 
 
@@ -171,11 +180,13 @@ def pair_neighbors(g: Graph, rule: MovementRule) -> Callable[[int], int]:
     every pair index one step away under ``rule``, over all ``n * n`` pairs
     with no distance filter; callers AND it with the pairs they keep.  This
     is the only place a rule's step is spelled out.  It reads the step
-    table from the graph's pair space, so every call on one graph shares it.
+    tables from the graph's pair space, so every call on one graph shares
+    them.
     """
     n = g.n
     masks = g._masks
-    spread = _pair_space(g).spread
+    space = _pair_space(g)
+    spread = space.spread
     if rule is MovementRule.ACTIVE:
 
         def step(i: int) -> int:
@@ -190,8 +201,8 @@ def pair_neighbors(g: Graph, rule: MovementRule) -> Callable[[int], int]:
 
     else:
         # Closed neighbourhoods in both coordinates, minus staying put.
-        closed = [m | 1 << v for v, m in enumerate(masks)]
-        closed_spread = [s | 1 << (u * n) for u, s in enumerate(spread)]
+        closed = space.closed
+        closed_spread = space.closed_spread
 
         def step(i: int) -> int:
             u, v = divmod(i, n)

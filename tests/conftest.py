@@ -8,6 +8,7 @@ package against these.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 
 import networkx as nx
@@ -81,6 +82,13 @@ def connected_after_removal(g: Graph, dropped: tuple[int, int]) -> bool:
 
 def bridges_by_removal(g: Graph) -> list[tuple[int, int]]:
     return [e for e in g.edges() if not connected_after_removal(g, e)]
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    """``g`` with its vertices renamed by a seeded random permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def to_networkx(g: Graph) -> nx.Graph:

@@ -3,10 +3,11 @@ from __future__ import annotations
 import resource
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from spanlab import families, verify
+from spanlab import cli, families, verify
 from spanlab.cli import main
 from spanlab.families import named_graph, paramecium_graph
 from spanlab.io import emit_edge_list, emit_graph6, parse_graph6
@@ -39,6 +40,32 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def run_cli(*argv, timeout, capped=False):
+    """``python -m spanlab.cli *argv`` in a subprocess, so the real console
+    prints what it quotes back; ``capped`` bounds its address space."""
+    return subprocess.run(
+        [sys.executable, "-m", "spanlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=_limit_address_space if capped else None,
+    )
+
+
+def assert_error(result, code, capsys=None):
+    """The documented error shape: exit ``code``, nothing on stdout and one
+    stderr line that starts with ``spanlab: ``.  ``result`` is a finished
+    subprocess, or the code ``main()`` returned, read with ``capsys``.
+    Returns the stderr line."""
+    if capsys is None:
+        returned, out, err = result.returncode, result.stdout, result.stderr
+    else:
+        (out, err), returned = capsys.readouterr(), result
+    assert (returned, out) == (code, ""), err
+    assert err.startswith("spanlab: ") and err.count("\n") == 1, err
+    return err
+
+
 class TestSpan:
     def test_pc5_all_rules(self, pc5_file, capsys):
         assert main(["span", pc5_file]) == 0
@@ -60,14 +87,12 @@ class TestSpan:
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("nope\n")
-        assert main(["span", str(path)]) == 2
-        assert "line 1" in capsys.readouterr().err
+        assert "line 1" in assert_error(main(["span", str(path)]), 2, capsys)
 
     def test_disconnected_exits_3(self, tmp_path, capsys):
         path = tmp_path / "disc.txt"
         path.write_text("n 4\n0 1\n2 3\n")
-        assert main(["span", str(path)]) == 3
-        assert capsys.readouterr().err
+        assert_error(main(["span", str(path)]), 3, capsys)
 
     @pytest.mark.parametrize("command", ["span", "bounds"])
     def test_order_over_cap_exits_4(self, command, tmp_path):
@@ -76,32 +101,14 @@ class TestSpan:
         # and die with a MemoryError traceback.
         path = tmp_path / "huge.txt"
         path.write_text("n 99999999999\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", command, str(path)],
-            capture_output=True,
-            text=True,
-            timeout=20,
-            preexec_fn=_limit_address_space,
-        )
-        assert proc.returncode == 4
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+        assert_error(run_cli(command, str(path), timeout=20, capped=True), 4)
 
     def test_graph6_header_over_cap_exits_4(self, tmp_path):
         # "~?_@" is a long-form header naming order 2049, one over the cap;
         # it exits 4 before the missing body is looked at.
         path = tmp_path / "huge.g6"
         path.write_text("~?_@\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", "span", str(path)],
-            capture_output=True,
-            text=True,
-            timeout=20,
-            preexec_fn=_limit_address_space,
-        )
-        assert proc.returncode == 4
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+        assert_error(run_cli("span", str(path), timeout=20, capped=True), 4)
 
     @pytest.mark.parametrize(
         "text,line,token",
@@ -119,27 +126,14 @@ class TestSpan:
         # int() reads all of these; the format has plain decimal numerals.
         path = tmp_path / "g.txt"
         path.write_text(text, encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", "span", str(path)],
-            capture_output=True,
-            text=True,
-            timeout=20,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.count("\n") == 1
-        assert f"line {line}: bad vertex " in proc.stderr
-        assert proc.stderr.rstrip().endswith(token)
+        err = assert_error(run_cli("span", str(path), timeout=20), 2)
+        assert f"line {line}: bad vertex " in err
+        assert err.rstrip().endswith(token)
 
     def test_edge_list_numbers_allow_leading_zeros(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("n 0003\n00 01\n1 002\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", "span", str(path)],
-            capture_output=True,
-            text=True,
-            timeout=20,
-        )
+        proc = run_cli("span", str(path), timeout=20)
         assert (proc.returncode, proc.stdout) == (0, "rad=1 strong=1 direct=1 cartesian=0\n")
 
     def test_long_vertex_count_exits_4_with_a_short_line(self, tmp_path):
@@ -147,54 +141,28 @@ class TestSpan:
         # and the whole numeral was quoted back.
         path = tmp_path / "huge.txt"
         path.write_text(f"n {'9' * 5000}\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", "span", str(path)],
-            capture_output=True,
-            text=True,
-            timeout=20,
-            preexec_fn=_limit_address_space,
-        )
-        assert proc.returncode == 4
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
-        assert len(proc.stderr) < len(str(path)) + 120
+        err = assert_error(run_cli("span", str(path), timeout=20, capped=True), 4)
+        assert len(err) < len(str(path)) + 120
 
     def test_long_vertex_id_exits_2_with_a_short_line(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text(f"n 2\n0 {'9' * 5000}\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", "span", str(path)],
-            capture_output=True,
-            text=True,
-            timeout=20,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
-        assert "line 2: vertex id '999" in proc.stderr
-        assert len(proc.stderr) < len(str(path)) + 120
+        err = assert_error(run_cli("span", str(path), timeout=20), 2)
+        assert "line 2: vertex id '999" in err
+        assert len(err) < len(str(path)) + 120
 
     @pytest.mark.parametrize("command", [["span"], ["witness", "--rule", "strong"], ["bounds"]])
     def test_non_utf8_file_exits_2(self, command, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"n 2\n0 1 # caf\xe9\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", command[0], str(path), *command[1:]],
-            capture_output=True,
-            text=True,
-            timeout=20,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("spanlab: cannot read") and proc.stderr.count("\n") == 1
+        err = assert_error(run_cli(command[0], str(path), *command[1:], timeout=20), 2)
+        assert err.startswith("spanlab: cannot read")
 
     def test_missing_file_exits_2(self, capsys):
-        assert main(["span", "/nonexistent/x.txt"]) == 2
-        assert "cannot read" in capsys.readouterr().err
+        assert "cannot read" in assert_error(main(["span", "/nonexistent/x.txt"]), 2, capsys)
 
     def test_format_override_mismatch_exits_2(self, pc5_file, capsys):
-        assert main(["span", pc5_file, "--format", "graph6"]) == 2
-        assert capsys.readouterr().err
+        assert_error(main(["span", pc5_file, "--format", "graph6"]), 2, capsys)
 
 
 # The walks of ``spanlab witness`` on fig1, pinned so that any change to
@@ -537,8 +505,7 @@ class TestVerifyCommands:
         assert "0 counterexamples; 0 graphs with cartesian>direct" in out
 
     def test_enumerate_too_large_exits_4(self, capsys):
-        assert main(["verify-enumerate", "--n", "9"]) == 4
-        assert capsys.readouterr().err
+        assert_error(main(["verify-enumerate", "--n", "9"]), 4, capsys)
 
     def test_records_file(self, tmp_path, capsys):
         records = tmp_path / "records.txt"
@@ -564,10 +531,8 @@ class TestVerifyCommands:
             raise AssertionError("the sweep ran")
 
         monkeypatch.setattr(verify, "check_theorems", fail)
-        assert main([*command, "--records", str(tmp_path / target)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("spanlab: cannot write") and captured.err.count("\n") == 1
+        err = assert_error(main([*command, "--records", str(tmp_path / target)]), 2, capsys)
+        assert err.startswith("spanlab: cannot write")
 
     def test_random_small(self, capsys):
         assert (
@@ -580,41 +545,25 @@ class TestVerifyCommands:
         assert "graphs checked: 20" in capsys.readouterr().out
 
     def test_enumerate_order_zero_exits_2(self, capsys):
-        assert main(["verify-enumerate", "--n", "0"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("spanlab: ") and err.count("\n") == 1
+        assert_error(main(["verify-enumerate", "--n", "0"]), 2, capsys)
 
     @pytest.mark.parametrize("n_range", [("0", "6"), ("8", "6")])
     def test_random_bad_vertex_range_exits_2(self, n_range, capsys):
         n_min, n_max = n_range
-        assert main(["verify-random", "--n-min", n_min, "--n-max", n_max]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("spanlab: ") and err.count("\n") == 1
+        assert_error(main(["verify-random", "--n-min", n_min, "--n-max", n_max]), 2, capsys)
 
     @pytest.mark.parametrize("p", ["0", "-0.5", "nan"])
     def test_random_edge_probability_outside_unit_interval_exits_2(self, p):
         # A subprocess with a timeout, so a draw that resamples forever
         # fails the test instead of hanging the suite.
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", "verify-random", "--count", "3", "--p", p],
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+        assert_error(run_cli("verify-random", "--count", "3", "--p", p, timeout=30), 2)
 
     def test_random_long_form_graph6_orders(self, tmp_path):
         # Orders 63 and 64 need the long graph6 form in their records; the
         # short form's 62-vertex cap used to end the run with exit 4.
         records = tmp_path / "records.txt"
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", "verify-random", "--count", "2",
-             "--n-min", "63", "--n-max", "64", "--jobs", "1", "--records", str(records)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_cli("verify-random", "--count", "2", "--n-min", "63", "--n-max", "64",
+                       "--jobs", "1", "--records", str(records), timeout=120)
         assert proc.returncode == 0, proc.stderr
         lines = records.read_text().splitlines()
         assert len(lines) == 2
@@ -626,51 +575,25 @@ class TestVerifyCommands:
         # A subprocess with a timeout and a bounded address space: the draw
         # of order 100,000 used to build about 1.5e9 edge tuples before
         # Graph refused the order.
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", "verify-random", "--count", "1",
-             "--n-min", "100000", "--n-max", "100000"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            preexec_fn=_limit_address_space,
-        )
-        assert proc.returncode == 4
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+        argv = ["verify-random", "--count", "1", "--n-min", "100000", "--n-max", "100000"]
+        assert_error(run_cli(*argv, timeout=10, capped=True), 4)
 
     def test_random_negative_count_exits_2(self, capsys):
-        assert main(["verify-random", "--count", "-3"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("spanlab: ") and err.count("\n") == 1
+        assert_error(main(["verify-random", "--count", "-3"]), 2, capsys)
 
     def test_random_tiny_edge_probability_exits_2(self):
         # A connected draw of order 12 at p = 1e-6 almost never comes; the
         # resampling cap turns what was an endless loop into exit 2.
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", "verify-random", "--count", "1",
-             "--p", "1e-6", "--n-min", "12", "--n-max", "12"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+        argv = ["verify-random", "--count", "1", "--p", "1e-6", "--n-min", "12", "--n-max", "12"]
+        assert_error(run_cli(*argv, timeout=60), 2)
 
     def test_random_large_order_below_connectivity_exits_2(self):
         # p = 0.001 lies below the ln(n) / n connectivity threshold of order
         # 2,048.  Each draw flips 2.1 M coins in about 0.2 s, so the 10,000
         # draws of the attempt cap alone took most of an hour; the flip
         # budget stops after 4 draws.
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", "verify-random", "--count", "1",
-             "--n-min", "2048", "--n-max", "2048", "--p", "0.001"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+        argv = ["verify-random", "--count", "1", "--n-min", "2048", "--n-max", "2048", "--p", "0.001"]
+        assert_error(run_cli(*argv, timeout=60), 2)
 
     def test_random_seed_env_override(self, tmp_path, capsys, monkeypatch):
         rec_a = tmp_path / "a.txt"
@@ -685,6 +608,11 @@ class TestVerifyCommands:
         main(args + [str(rec_c), "--seed", "123"])
         capsys.readouterr()
         assert rec_a.read_text() == rec_b.read_text() == rec_c.read_text()
+
+    def test_random_seed_env_not_an_integer_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPANLAB_SEED", "1.5")
+        err = assert_error(main(["verify-random", "--count", "1"]), 2, capsys)
+        assert "SPANLAB_SEED must be an integer" in err
 
 
 class TestBounds:
@@ -730,6 +658,15 @@ class TestBounds:
         assert main(["bounds", path, "--machine"]) == 0
         assert capsys.readouterr().out == "radius=2 cut_bound=1 strong=1 ok=1\n"
 
+    def test_violated_bound_exits_1(self, write_graph, monkeypatch, capsys):
+        # The span cannot beat a bound; a stand-in sweep that does must show.
+        path = write_graph(named_graph("fig6_left"), "l.txt")
+        monkeypatch.setattr(cli, "compute_span", lambda g, rule: SimpleNamespace(value=3))
+        assert main(["bounds", path, "--machine"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "radius=2 cut_bound=1 strong=3 ok=0\n"
+        assert err == "bound violated by computed span\n"
+
 
 # ``spanlab named --format graph6`` for one token per family, and the three
 # spellings of the biclique token, pinned so that a change to a generator's
@@ -765,16 +702,7 @@ class TestNamed:
         # A subprocess with a timeout and a bounded address space, so an
         # instance built before the cap is checked fails the test instead
         # of exhausting memory or hanging the suite.
-        proc = subprocess.run(
-            [sys.executable, "-m", "spanlab.cli", "named", token],
-            capture_output=True,
-            text=True,
-            timeout=20,
-            preexec_fn=_limit_address_space,
-        )
-        assert proc.returncode == 4
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("spanlab: ") and proc.stderr.count("\n") == 1
+        assert_error(run_cli("named", token, timeout=20, capped=True), 4)
 
     def test_list(self, capsys):
         assert main(["named", "--list"]) == 0
@@ -796,28 +724,26 @@ class TestNamed:
         assert capsys.readouterr().out.startswith("n 5\n")
 
     def test_unknown_exits_2(self, capsys):
-        assert main(["named", "fig99"]) == 2
-        assert "unknown graph" in capsys.readouterr().err
+        assert "unknown graph" in assert_error(main(["named", "fig99"]), 2, capsys)
+
+    def test_unmatched_token_exits_2(self, capsys):
+        # No family token has a sign in it.
+        assert "unknown graph" in assert_error(main(["named", "C-5"]), 2, capsys)
 
     def test_unknown_long_token_message_is_bounded(self, capsys):
-        assert main(["named", "Z" + "1" * 4400]) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert "unknown graph" in lines[0] and len(lines[0]) < 200
+        err = assert_error(main(["named", "Z" + "1" * 4400]), 2, capsys)
+        assert "unknown graph" in err and len(err.rstrip()) < 200
 
     def test_bad_parameter_exits_2(self, capsys):
-        assert main(["named", "C2"]) == 2
-        assert capsys.readouterr().err
+        assert_error(main(["named", "C2"]), 2, capsys)
+
+    def test_missing_id_exits_2(self, capsys):
+        assert "a graph id is required" in assert_error(main(["named"]), 2, capsys)
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "spanlab.cli", "named", "fig2_g1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "n 2\n0 1\n"
+    proc = run_cli("named", "fig2_g1", timeout=None)
+    assert (proc.returncode, proc.stdout) == (0, "n 2\n0 1\n")
 
 
 def test_pipeline_named_into_span(tmp_path, capsys):

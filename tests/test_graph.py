@@ -67,6 +67,11 @@ class TestBuildGraph:
         assert g.label(0) == "a" and g.label(1) == "b"
         assert Graph(2, [(0, 1)]).label(1) == "1"
 
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+    def test_label_count_must_match_order(self, labels):
+        with pytest.raises(ValueError, match=f"got {len(labels)} labels for 2 vertices"):
+            Graph(2, [(0, 1)], labels=labels)
+
     def test_edges_are_the_sorted_normalised_input(self):
         rng = random.Random(11)
         for _ in range(50):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import pickle
-import random
 
 import networkx as nx
 import pytest
@@ -19,7 +18,7 @@ from spanlab.product import (
 )
 from spanlab.verify import enumerate_connected
 
-from conftest import connected_graphs, floyd_warshall
+from conftest import connected_graphs, floyd_warshall, relabelled
 
 ALL_RULES = (MovementRule.TRADITIONAL, MovementRule.ACTIVE, MovementRule.LAZY)
 
@@ -221,8 +220,9 @@ class TestComponents:
 
 def reference_pair_space(g):
     """The pair space's tables from scratch: buckets of ``u <= v`` pairs by
-    ``min(d(u, v), radius)``, and for each vertex u the mask with bit
-    ``w * n`` set for each neighbour w."""
+    ``min(d(u, v), radius)``; for each vertex u the mask with bit ``w * n``
+    set for each neighbour w; and the same two masks over u's closed
+    neighbourhood, with bits w and ``w * n``."""
     n = g.n
     d = floyd_warshall(g)
     top = min(max(row) for row in d)
@@ -231,7 +231,13 @@ def reference_pair_space(g):
         for v in range(u, n):
             buckets[min(d[u][v], top)].append(u * n + v)
     spread = [sum(1 << (w * n) for w in range(n) if g.has_edge(u, w)) for u in range(n)]
-    return buckets, spread
+    closed = [[w for w in range(n) if w == u or g.has_edge(u, w)] for u in range(n)]
+    return (
+        buckets,
+        spread,
+        [sum(1 << w for w in ws) for ws in closed],
+        [sum(1 << (w * n) for w in ws) for ws in closed],
+    )
 
 
 def spans_and_walks(g, rules):
@@ -243,16 +249,10 @@ def spans_and_walks(g, rules):
     return out
 
 
-def shuffled(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 class TestPairSpace:
     def test_shared_tables_are_exact_and_read_only(self):
         graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
-        graphs += [shuffled(path_graph(16), 16), shuffled(complete_bipartite_graph(8, 8), 8)]
+        graphs += [relabelled(path_graph(16), 16), relabelled(complete_bipartite_graph(8, 8), 8)]
         assert len(graphs) == 774
         for g in graphs:
             # Each rule on its own fresh graph shares no table with another.
@@ -264,14 +264,14 @@ class TestPairSpace:
             assert _pair_space(g) is space
             assert forward == backward == alone, g.edges()
 
-            buckets, spread = reference_pair_space(g)
-            assert type(space.buckets) is tuple and type(space.spread) is tuple
+            buckets, *tables = reference_pair_space(g)
+            assert all(type(table) is tuple for table in space)
             assert all(type(bucket) is tuple for bucket in space.buckets)
             assert [list(bucket) for bucket in space.buckets] == buckets, g.edges()
-            assert list(space.spread) == spread, g.edges()
+            assert [list(table) for table in space[1:]] == tables, g.edges()
 
     def test_pickled_graph_keeps_its_spans(self):
-        for g in (named_graph("fig1"), shuffled(path_graph(16), 3), complete_bipartite_graph(4, 5)):
+        for g in (named_graph("fig1"), relabelled(path_graph(16), 3), complete_bipartite_graph(4, 5)):
             before = spans_and_walks(g, ALL_RULES)
             copy = pickle.loads(pickle.dumps(g))
             assert copy == g

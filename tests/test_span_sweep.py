@@ -10,7 +10,6 @@ exactly the same reports and walks, not merely equally valid ones.
 from __future__ import annotations
 
 import hashlib
-import random
 import time
 
 import pytest
@@ -39,6 +38,8 @@ from spanlab.product import (
     pair_neighbors,
 )
 from spanlab.verify import RULES, enumerate_connected, random_graphs
+
+from conftest import relabelled
 
 
 def reference_span(g, rule: MovementRule) -> SpanReport:
@@ -127,12 +128,6 @@ def reference_tracks(report: SpanReport) -> TrackPair:
     if len(walk) > 2 * len(component) - 1:
         walk = reference_closed_dfs(pg, component)
     return TrackPair(tuple(u for u, _ in walk), tuple(v for _, v in walk), report.rule)
-
-
-def relabelled(g: Graph, seed: int) -> Graph:
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def grid_graph(rows: int, cols: int) -> Graph:

@@ -48,6 +48,44 @@ from conftest import to_networkx
 T, A, L = RULES
 
 
+def _spans(strong=2, direct=2, cartesian=2):
+    """Stand-ins for ``compute_span`` and the oracle that agree on these
+    span values, for a graph checked without witnesses."""
+    values = {T: strong, A: direct, L: cartesian}
+    return {
+        "compute_span": lambda g, rule: SimpleNamespace(value=values[rule]),
+        "oracle_span": lambda g, rule: values[rule],
+    }
+
+
+# C5 breaks no relation (spans 2, 2, 2, radius 2, no bridge), so each of
+# check_graph's relation checks is forced by stand-ins for names it reads
+# from verify.  Each violation maps to its stand-ins and the middle fields of
+# its record line.  The transforms' stand-ins keep the walks but give them
+# the wrong rule, so the transformed walks do not conform.
+FORCED_VIOLATIONS = {
+    "strong_ge_max": (_spans(strong=1), "strong=1 direct=2 cartesian=2 cut_bound=none oracle=agree"),
+    "direct_cartesian_diff": (_spans(direct=0), "strong=2 direct=0 cartesian=2 cut_bound=none oracle=agree"),
+    "span_le_radius": (_spans(3, 3, 3), "strong=3 direct=3 cartesian=3 cut_bound=none oracle=agree"),
+    "oracle_agreement": (
+        {"oracle_span": lambda g, rule: 1},
+        "strong=2 direct=2 cartesian=2 cut_bound=none oracle=disagree",
+    ),
+    "cut_edge_bound": (
+        {"cut_edge_bound": lambda g: 1},
+        "strong=2 direct=2 cartesian=2 cut_bound=1 oracle=agree",
+    ),
+    "transform_direct_to_lazy": (
+        {"_direct_to_lazy": lambda t: TrackPair(t.f, t.g, L)},
+        "strong=2 direct=2 cartesian=2 cut_bound=none oracle=agree",
+    ),
+    "transform_lazy_to_direct": (
+        {"_lazy_to_direct": lambda g, t: TrackPair(t.f, t.g, A)},
+        "strong=2 direct=2 cartesian=2 cut_bound=none oracle=agree",
+    ),
+}
+
+
 class TestOracle:
     def test_k2_lazy_zero(self):
         assert oracle_span(Graph(2, [(0, 1)]), L) == 0
@@ -292,6 +330,15 @@ class TestCheckTheorems:
         cut = [r for r in report.records if r.cut_bound is not None]
         assert len(cut) == 351
         assert sum(r.strong == r.cut_bound for r in cut) == 215
+
+    @pytest.mark.parametrize("violation", FORCED_VIOLATIONS)
+    def test_each_relation_check_records_its_violation(self, violation, monkeypatch):
+        stand_ins, fields = FORCED_VIOLATIONS[violation]
+        for name, stand_in in stand_ins.items():
+            monkeypatch.setattr(verify, name, stand_in)
+        record = check_graph(cycle_graph(5), check_witnesses=violation.startswith("transform"))
+        assert record.violations == (violation,)
+        assert record.to_line() == f"graph6=Dhc n=5 radius=2 {fields} ok=0 violations={violation}"
 
     def test_oracle_cap_over_the_limit_refused_up_front(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -152,6 +152,25 @@ MUTANTS = (
         "",
         ("tests/test_verify.py::TestCheckTheorems::test_nonconforming_witness_is_recorded_not_raised",),
     ),
+    *(
+        Mutant(
+            f"{violation}-never-recorded",
+            "verify.py",
+            f'violations.append("{violation}")',
+            "pass",
+            ("tests/test_verify.py::TestCheckTheorems::"
+             f"test_each_relation_check_records_its_violation[{violation}]",),
+        )
+        for violation in (
+            "strong_ge_max",
+            "direct_cartesian_diff",
+            "span_le_radius",
+            "oracle_agreement",
+            "cut_edge_bound",
+            "transform_direct_to_lazy",
+            "transform_lazy_to_direct",
+        )
+    ),
 )
 
 
