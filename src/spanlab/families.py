@@ -44,16 +44,12 @@ class FamilySpec:
         return _family(self.kind).cap
 
 
-@dataclass(frozen=True)
-class ExpectedSpans:
+class ExpectedSpans(NamedTuple):
     """Closed-form (strong, direct, cartesian) span values."""
 
     strong: int
     direct: int
     cartesian: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.strong, self.direct, self.cartesian)
 
 
 class _Family(NamedTuple):

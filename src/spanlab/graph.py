@@ -219,37 +219,34 @@ def bridges(g: Graph) -> list[Edge]:
     """Every edge whose removal disconnects the graph.
 
     Standard low-link computation, iterative so deep graphs cannot blow the
-    recursion limit.  Result is sorted by endpoint ids.
+    recursion limit.  ``Graph`` is connected, so one search from vertex 0
+    reaches every vertex.  Result is sorted by endpoint ids.
     """
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
+    adj = g._adj
+    disc = [-1] * g.n
+    low = [0] * g.n
     out: list[Edge] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(g.neighbors(root)))]
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v == parent:
-                    continue
-                if disc[v] == -1:
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, u, iter(g.neighbors(v))))
-                    advanced = True
-                    break
-                low[u] = min(low[u], disc[v])
-            if not advanced:
-                stack.pop()
-                if parent != -1:
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > disc[parent]:
-                        out.append((parent, u) if parent < u else (u, parent))
+    disc[0] = low[0] = 0
+    timer = 1
+    stack: list[tuple[int, int, Iterator[int]]] = [(0, -1, iter(adj[0]))]
+    while stack:
+        u, parent, it = stack[-1]
+        advanced = False
+        for v in it:
+            if v == parent:
+                continue
+            if disc[v] == -1:
+                disc[v] = low[v] = timer
+                timer += 1
+                stack.append((v, u, iter(adj[v])))
+                advanced = True
+                break
+            low[u] = min(low[u], disc[v])
+        if not advanced:
+            stack.pop()
+            if parent != -1:
+                low[parent] = min(low[parent], low[u])
+                if low[u] > disc[parent]:
+                    out.append((parent, u) if parent < u else (u, parent))
     out.sort()
     return out

@@ -69,23 +69,23 @@ _SPAN_NAMES = {
 
 @dataclass(frozen=True)
 class PairGraph:
-    """Thresholded product of a graph with itself, per one movement rule."""
+    """Thresholded product of a graph with itself, per one movement rule.
+
+    It stays in the package for the benchmark's tracer, and keeps only what
+    its readers use: the pair indexing and pair set (its own filter tests),
+    ``vertex_count`` (the tracer's pair counter), ``neighbors`` (the
+    reference walks) and the components (the reference descent).
+    """
 
     base: Graph
-    rule: MovementRule
-    threshold: int
     _allowed: int = field(repr=False)
     _adj: dict[int, int] = field(repr=False)
-
-    # -- pair indexing ----------------------------------------------------
 
     def index(self, u: int, v: int) -> int:
         return u * self.base.n + v
 
     def pair_of(self, idx: int) -> Pair:
         return divmod(idx, self.base.n)
-
-    # -- vertex / edge accessors ------------------------------------------
 
     def pairs(self) -> list[Pair]:
         """All pair vertices, ascending by index (row-major in (u, v))."""
@@ -95,21 +95,8 @@ class PairGraph:
     def vertex_count(self) -> int:
         return self._allowed.bit_count()
 
-    @property
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self._adj.values()) // 2
-
-    def has_vertex(self, u: int, v: int) -> bool:
-        return bool(self._allowed >> self.index(u, v) & 1)
-
-    def has_edge(self, a: Pair, b: Pair) -> bool:
-        ia, ib = self.index(*a), self.index(*b)
-        return ia in self._adj and bool(self._adj[ia] >> ib & 1)
-
     def neighbors(self, u: int, v: int) -> list[Pair]:
         return [self.pair_of(i) for i in _bits(self._adj[self.index(u, v)])]
-
-    # -- components --------------------------------------------------------
 
     def component_masks(self) -> list[int]:
         """Connected components as pair-index bitmasks, by smallest member."""
@@ -222,14 +209,13 @@ def build_pair_graph(g: Graph, rule: MovementRule, r: int) -> PairGraph:
     n = g.n
     allowed = 0
     for u, row in enumerate(g.distances):
-        base = u * n
-        for v in range(n):
-            if row[v] >= r:
-                allowed |= 1 << (base + v)
+        for v, d in enumerate(row):
+            if d >= r:
+                allowed |= 1 << (u * n + v)
 
     step = pair_neighbors(g, rule)
     adj = {i: step(i) & allowed for i in _bits(allowed)}
-    return PairGraph(g, rule, r, allowed, adj)
+    return PairGraph(g, allowed, adj)
 
 
 def components_with_double_surjectivity(pg: PairGraph) -> list[tuple[Pair, ...]]:

@@ -91,6 +91,19 @@ def relabelled(g: Graph, seed: int) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def covering(val, distance: int, at_least: bool = False) -> bool:
+    """A ``validate_tracks`` result for walks that conform, each cover every
+    vertex, and keep a minimum distance of exactly ``distance`` (at least
+    ``distance`` when ``at_least``)."""
+    d = val.min_distance
+    return (
+        val.conforms
+        and val.surjective_f
+        and val.surjective_g
+        and (d >= distance if at_least else d == distance)
+    )
+
+
 def to_networkx(g: Graph) -> nx.Graph:
     """A networkx copy of ``g``, for networkx's isomorphism test."""
     h = nx.Graph()

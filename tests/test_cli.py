@@ -742,7 +742,7 @@ class TestNamed:
 
 
 def test_console_entry_point_runs():
-    proc = run_cli("named", "fig2_g1", timeout=None)
+    proc = run_cli("named", "fig2_g1", timeout=20)
     assert (proc.returncode, proc.stdout) == (0, "n 2\n0 1\n")
 
 

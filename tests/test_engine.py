@@ -32,7 +32,7 @@ from spanlab.verify import enumerate_connected
 
 from hypothesis import strategies as st
 
-from conftest import connected_graphs
+from conftest import connected_graphs, covering
 
 T, A, L = MovementRule.TRADITIONAL, MovementRule.ACTIVE, MovementRule.LAZY
 
@@ -151,9 +151,7 @@ class TestExtractWitness:
     def test_k2_active_swap(self):
         report = compute_span(Graph(2, [(0, 1)]), A)
         tracks = extract_witness_tracks(report)
-        val = validate_tracks(report.graph, tracks)
-        assert val.conforms and val.surjective_f and val.surjective_g
-        assert val.min_distance == 1
+        assert covering(validate_tracks(report.graph, tracks), 1)
 
     def test_c4_active_keeps_antipodal(self):
         g = cycle_graph(4)
@@ -165,10 +163,7 @@ class TestExtractWitness:
         g = paramecium_graph(5)
         report = compute_span(g, L)
         assert report.value == 3
-        tracks = extract_witness_tracks(report)
-        val = validate_tracks(g, tracks)
-        assert val.conforms and val.surjective_f and val.surjective_g
-        assert val.min_distance == 3
+        assert covering(validate_tracks(g, extract_witness_tracks(report)), 3)
 
     def test_walk_length_bound(self):
         g = named_graph("fig1")
@@ -197,12 +192,8 @@ class TestExtractWitness:
             for g in enumerate_connected(n):
                 report = compute_span(g, rule)
                 tracks = extract_witness_tracks(report)
-                val = validate_tracks(g, tracks)
                 if not (
-                    val.conforms
-                    and val.surjective_f
-                    and val.surjective_g
-                    and val.min_distance == report.value
+                    covering(validate_tracks(g, tracks), report.value)
                     and tracks.length <= 2 * len(report.witness_component) - 1
                 ):
                     failures.append(g.edges())
@@ -212,9 +203,7 @@ class TestExtractWitness:
     def test_round_trip_all_rules(self, g):
         for rule in (T, A, L):
             report = compute_span(g, rule)
-            val = validate_tracks(g, extract_witness_tracks(report))
-            assert val.conforms and val.surjective_f and val.surjective_g
-            assert val.min_distance == report.value
+            assert covering(validate_tracks(g, extract_witness_tracks(report)), report.value)
 
 
 FIG1_WALKS = TrackPair(f=(3, 4, 5, 0, 1, 2), g=(0, 1, 3, 2, 5, 4), rule=A)
@@ -223,9 +212,7 @@ FIG1_WALKS = TrackPair(f=(3, 4, 5, 0, 1, 2), g=(0, 1, 3, 2, 5, 4), rule=A)
 class TestValidateTracks:
     def test_fig1_walks_conform_and_keep_distance_2(self):
         g = named_graph("fig1")
-        val = validate_tracks(g, FIG1_WALKS)
-        assert val.conforms and val.surjective_f and val.surjective_g
-        assert val.min_distance == 2
+        assert covering(validate_tracks(g, FIG1_WALKS), 2)
 
     def test_shared_walk_fails_lazy(self):
         g = path_graph(3)
@@ -304,9 +291,7 @@ class TestDirectToLazy:
         assert out.length == 2 * FIG1_WALKS.length - 1
         assert out.f == tuple(FIG1_WALKS.f[(j + 1) // 2] for j in range(out.length))
         assert out.g == tuple(FIG1_WALKS.g[j // 2] for j in range(out.length))
-        val = validate_tracks(g, out)
-        assert val.conforms and val.surjective_f and val.surjective_g
-        assert val.min_distance >= 2 - 1
+        assert covering(validate_tracks(g, out), 2 - 1, at_least=True)
 
     def test_c4_antipodal(self):
         g = cycle_graph(4)
@@ -336,11 +321,9 @@ class TestLazyToDirect:
         a = move_attribution(g, t).mixed_pairs
         assert a == (t.length - 1) // 2
         assert out.length == t.length - a
-        val = validate_tracks(g, out)
-        assert val.conforms and val.surjective_f and val.surjective_g
         # Fully mixed pairs mean no bounce vertices and no distance loss.
+        assert covering(validate_tracks(g, out), 2)
         assert set(out.positions()) <= set(t.positions())
-        assert val.min_distance == 2
 
     def test_trailing_unpaired_step_bounces(self):
         g = cycle_graph(4)
@@ -360,9 +343,7 @@ class TestLazyToDirect:
         g = paramecium_graph(5)
         tracks = extract_witness_tracks(compute_span(g, L))
         out = lazy_to_direct(g, tracks)
-        val = validate_tracks(g, out)
-        assert val.conforms and val.surjective_f and val.surjective_g
-        assert val.min_distance >= 3 - 1
+        assert covering(validate_tracks(g, out), 3 - 1, at_least=True)
         assert compute_span(g, A).value == 2
 
     def test_fig2_g2_witness_and_ceiling(self):
@@ -406,13 +387,9 @@ class TestLazyToDirect:
         lazy_report = compute_span(g, L)
         lazy_tracks = extract_witness_tracks(lazy_report)
         out = lazy_to_direct(g, lazy_tracks)
-        val = validate_tracks(g, out)
-        assert val.conforms and val.surjective_f and val.surjective_g
-        assert val.min_distance >= lazy_report.value - 1
+        assert covering(validate_tracks(g, out), lazy_report.value - 1, at_least=True)
 
         active_report = compute_span(g, A)
         active_tracks = extract_witness_tracks(active_report)
         back = direct_to_lazy(g, active_tracks)
-        bval = validate_tracks(g, back)
-        assert bval.conforms and bval.surjective_f and bval.surjective_g
-        assert bval.min_distance >= active_report.value - 1
+        assert covering(validate_tracks(g, back), active_report.value - 1, at_least=True)

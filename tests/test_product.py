@@ -8,7 +8,7 @@ from hypothesis import given
 
 from spanlab.engine import compute_span, extract_witness_tracks
 from spanlab.families import complete_bipartite_graph, cycle_graph, named_graph, path_graph
-from spanlab.graph import Graph, _levels
+from spanlab.graph import Graph, _bits, _levels
 from spanlab.product import (
     MovementRule,
     _pair_space,
@@ -66,8 +66,8 @@ class TestBuildPairGraph:
     def test_k2_active_swap_edge(self):
         pg = build_pair_graph(Graph(2, [(0, 1)]), MovementRule.ACTIVE, 1)
         assert pg.pairs() == [(0, 1), (1, 0)]
-        assert pg.edge_count == 1
-        assert pg.has_edge((0, 1), (1, 0))
+        assert pg.neighbors(0, 1) == [(1, 0)]
+        assert pg.neighbors(1, 0) == [(0, 1)]
 
     def test_threshold_above_radius_keeps_farther_pairs(self):
         # Above the radius only pairs farther apart than it survive: P4's
@@ -90,43 +90,6 @@ class TestBuildPairGraph:
             pg = build_pair_graph(g, MovementRule.TRADITIONAL, r)
             assert set(pg.pairs()) == brute_force_pairs(g, r)
 
-    @given(connected_graphs(max_n=7))
-    def test_traditional_edges_are_union_of_active_and_lazy(self, g):
-        for r in range(g.radius + 1):
-            strong = build_pair_graph(g, MovementRule.TRADITIONAL, r)
-            active = build_pair_graph(g, MovementRule.ACTIVE, r)
-            lazy = build_pair_graph(g, MovementRule.LAZY, r)
-            for i, mask in strong._adj.items():
-                assert mask == active._adj[i] | lazy._adj[i]
-
-    def test_union_property_exhaustive_small(self):
-        for n in range(1, 6):
-            for g in enumerate_connected(n, dedup=True):
-                for r in range(g.radius + 1):
-                    strong = build_pair_graph(g, MovementRule.TRADITIONAL, r)
-                    active = build_pair_graph(g, MovementRule.ACTIVE, r)
-                    lazy = build_pair_graph(g, MovementRule.LAZY, r)
-                    assert all(
-                        strong._adj[i] == active._adj[i] | lazy._adj[i]
-                        for i in strong._adj
-                    )
-
-    @given(connected_graphs(max_n=6))
-    def test_swap_is_an_automorphism(self, g):
-        for rule in ALL_RULES:
-            for r in range(g.radius + 1):
-                pg = build_pair_graph(g, rule, r)
-                for u, v in pg.pairs():
-                    assert pg.has_vertex(v, u)
-                    swapped = {(q, p) for p, q in pg.neighbors(u, v)}
-                    assert swapped == set(pg.neighbors(v, u))
-
-    def test_no_self_loops(self):
-        for rule in ALL_RULES:
-            pg = build_pair_graph(cycle_graph(5), rule, 0)
-            for u, v in pg.pairs():
-                assert not pg.has_edge((u, v), (u, v))
-
 
 def small_graphs_and_fig1():
     return [g for n in range(1, 5) for g in enumerate_connected(n)] + [named_graph("fig1")]
@@ -142,6 +105,42 @@ def defined_step(g, rule, u, v):
     return {(a, v) for a in g.neighbors(u)} | {(u, b) for b in g.neighbors(v)}
 
 
+def mirrored(mask: int, n: int) -> int:
+    """``mask`` with the actors swapped: bit ``u * n + v`` moved to ``v * n + u``."""
+    return sum(1 << (v * n + u) for u, v in (divmod(i, n) for i in _bits(mask)))
+
+
+def assert_rule_properties(g):
+    """What the three rules' definitions imply for their one live step, at
+    every pair index: the traditional step is the active step OR the lazy
+    step, the mirror pair ``(v, u)`` steps to the mirror image of the step
+    of ``(u, v)``, and no pair steps to itself.  A threshold only ANDs a
+    step with a pair set that swapping the actors maps onto itself
+    (``d(u, v) == d(v, u)``), so no threshold can break any of them."""
+    n = g.n
+    steps = [pair_neighbors(g, rule) for rule in ALL_RULES]
+    strong, active, lazy = steps
+    for i in range(n * n):
+        u, v = divmod(i, n)
+        assert strong(i) == active(i) | lazy(i), (g.edges(), u, v)
+        for rule, step in zip(ALL_RULES, steps):
+            assert step(v * n + u) == mirrored(step(i), n), (g.edges(), rule, u, v)
+            assert not step(i) >> i & 1, (g.edges(), rule, u, v)
+
+
+class TestRuleProperties:
+    def test_on_every_class_of_order_le_5_and_fig1(self):
+        graphs = [g for n in range(1, 6) for g in enumerate_connected(n, dedup=True)]
+        graphs.append(named_graph("fig1"))
+        assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 1
+        for g in graphs:
+            assert_rule_properties(g)
+
+    @given(connected_graphs(max_n=7))
+    def test_on_random_graphs(self, g):
+        assert_rule_properties(g)
+
+
 class TestPairNeighbors:
     @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.value)
     def test_step_matches_the_rule_definition(self, rule):
@@ -152,7 +151,7 @@ class TestPairNeighbors:
             for u in range(n):
                 for v in range(n):
                     mask = step(u * n + v)
-                    got = {divmod(i, n) for i in range(mask.bit_length()) if mask >> i & 1}
+                    got = {divmod(i, n) for i in _bits(mask)}
                     assert got == defined_step(g, rule, u, v), (g.edges(), u, v)
         assert len(graphs) == 1 + 1 + 4 + 38 + 1
 
@@ -175,7 +174,7 @@ class TestPairNeighbors:
                             expected.setdefault(d, set()).add(pair)
                     levels = _levels(step, pg.index(*source), within)
                     got = {
-                        k: {pg.pair_of(i) for i in range(level.bit_length()) if level >> i & 1}
+                        k: {pg.pair_of(i) for i in _bits(level)}
                         for k, level in enumerate(levels, start=1)
                     }
                     assert got == expected, (g.edges(), rule, r, source)

@@ -107,17 +107,6 @@ class TestOracle:
         with pytest.raises(TooLargeError):
             oracle_span(cycle_graph(8), T)
 
-    def test_agrees_with_engine_exhaustively_to_4(self):
-        for n in range(1, 5):
-            for g in enumerate_connected(n):
-                for rule in RULES:
-                    assert oracle_span(g, rule) == compute_span(g, rule).value
-
-    def test_agrees_with_engine_on_5_vertex_classes(self):
-        for g in enumerate_connected(5, dedup=True):
-            for rule in RULES:
-                assert oracle_span(g, rule) == compute_span(g, rule).value
-
     def test_agrees_with_engine_on_random_6_vertex_graphs(self):
         for g in random_graphs(25, (6, 6), 0.35, seed=60):
             for rule in RULES:

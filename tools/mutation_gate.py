@@ -126,6 +126,20 @@ MUTANTS = (
         ("tests/test_product.py::TestPairSpace",),
     ),
     Mutant(
+        "lazy-step-without-alice",
+        "product.py",
+        "return masks[v] << (u * n) | spread[u] << v",
+        "return masks[v] << (u * n)",
+        ("tests/test_product.py::TestRuleProperties",),
+    ),
+    Mutant(
+        "strong-step-without-alice-staying",
+        "product.py",
+        "closed_spread = tuple(s | 1 << (u * n) for u, s in enumerate(spread))",
+        "closed_spread = spread",
+        ("tests/test_product.py::TestRuleProperties",),
+    ),
+    Mutant(
         "oracle-lazy-drops-bob",
         "verify.py",
         "options = [(u2, v) for u2 in adj[u]] + [(u, v2) for v2 in adj[v]]",
