@@ -47,6 +47,25 @@ class TestMovementRule:
             MovementRule.from_name("weak")
 
 
+def mirrored(mask: int, n: int) -> int:
+    """``mask`` with the actors swapped: bit ``u * n + v`` moved to ``v * n + u``."""
+    return sum(1 << (v * n + u) for u, v in (divmod(i, n) for i in _bits(mask)))
+
+
+def assert_union(g):
+    """The traditional step is the active step OR the lazy step."""
+    strong, active, lazy = (pair_neighbors(g, rule) for rule in ALL_RULES)
+    for i in range(g.n * g.n):
+        assert strong(i) == active(i) | lazy(i), (g.edges(), divmod(i, g.n))
+
+
+def small_classes_and_fig1():
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n, dedup=True)]
+    graphs.append(named_graph("fig1"))
+    assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 1
+    return graphs
+
+
 class TestBuildPairGraph:
     def test_c4_lazy_threshold_1_has_12_vertices(self):
         # All 12 ordered pairs with distinct coordinates are at distance >= 1.
@@ -90,6 +109,36 @@ class TestBuildPairGraph:
             pg = build_pair_graph(g, MovementRule.TRADITIONAL, r)
             assert set(pg.pairs()) == brute_force_pairs(g, r)
 
+    # The rule properties are checked on the live step, ``pair_neighbors``,
+    # at every pair index.  A threshold only ANDs a step with a pair set
+    # that swapping the actors maps onto itself (``d(u, v) == d(v, u)``),
+    # so no threshold can break them, and no threshold loop is needed.
+    @given(connected_graphs(max_n=7))
+    def test_traditional_edges_are_union_of_active_and_lazy(self, g):
+        assert_union(g)
+
+    def test_union_property_exhaustive_small(self):
+        for g in small_classes_and_fig1():
+            assert_union(g)
+
+    @given(connected_graphs(max_n=7))
+    def test_swap_is_an_automorphism(self, g):
+        # The mirror pair ``(v, u)`` steps to the mirror image of the step
+        # of ``(u, v)``.
+        n = g.n
+        for rule in ALL_RULES:
+            step = pair_neighbors(g, rule)
+            for i in range(n * n):
+                u, v = divmod(i, n)
+                assert step(v * n + u) == mirrored(step(i), n), (g.edges(), rule, u, v)
+
+    def test_no_self_loops(self):
+        for g in small_classes_and_fig1():
+            for rule in ALL_RULES:
+                step = pair_neighbors(g, rule)
+                for i in range(g.n * g.n):
+                    assert not step(i) >> i & 1, (g.edges(), rule, divmod(i, g.n))
+
 
 def small_graphs_and_fig1():
     return [g for n in range(1, 5) for g in enumerate_connected(n)] + [named_graph("fig1")]
@@ -103,42 +152,6 @@ def defined_step(g, rule, u, v):
     if rule is MovementRule.ACTIVE:
         return {(a, b) for a in g.neighbors(u) for b in g.neighbors(v)}
     return {(a, v) for a in g.neighbors(u)} | {(u, b) for b in g.neighbors(v)}
-
-
-def mirrored(mask: int, n: int) -> int:
-    """``mask`` with the actors swapped: bit ``u * n + v`` moved to ``v * n + u``."""
-    return sum(1 << (v * n + u) for u, v in (divmod(i, n) for i in _bits(mask)))
-
-
-def assert_rule_properties(g):
-    """What the three rules' definitions imply for their one live step, at
-    every pair index: the traditional step is the active step OR the lazy
-    step, the mirror pair ``(v, u)`` steps to the mirror image of the step
-    of ``(u, v)``, and no pair steps to itself.  A threshold only ANDs a
-    step with a pair set that swapping the actors maps onto itself
-    (``d(u, v) == d(v, u)``), so no threshold can break any of them."""
-    n = g.n
-    steps = [pair_neighbors(g, rule) for rule in ALL_RULES]
-    strong, active, lazy = steps
-    for i in range(n * n):
-        u, v = divmod(i, n)
-        assert strong(i) == active(i) | lazy(i), (g.edges(), u, v)
-        for rule, step in zip(ALL_RULES, steps):
-            assert step(v * n + u) == mirrored(step(i), n), (g.edges(), rule, u, v)
-            assert not step(i) >> i & 1, (g.edges(), rule, u, v)
-
-
-class TestRuleProperties:
-    def test_on_every_class_of_order_le_5_and_fig1(self):
-        graphs = [g for n in range(1, 6) for g in enumerate_connected(n, dedup=True)]
-        graphs.append(named_graph("fig1"))
-        assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 1
-        for g in graphs:
-            assert_rule_properties(g)
-
-    @given(connected_graphs(max_n=7))
-    def test_on_random_graphs(self, g):
-        assert_rule_properties(g)
 
 
 class TestPairNeighbors:

@@ -181,13 +181,29 @@ def test_sweep_matches_per_threshold_descent(corpus, rule):
         expected = reference_span(g, rule)
         if report != expected:
             mismatches.append(f"{g.edges()}: report {report} != {expected}")
-        # ``members`` is the one stored form of the winner: its pair view
-        # must read the same bits, and the walk starts at its smallest pair.
-        elif report.witness_component != tuple(divmod(i, g.n) for i in _bits(report.members)):
-            mismatches.append(f"{g.edges()}: witness_component is not the pairs of members")
         elif extract_witness_tracks(report) != reference_tracks(expected):
             mismatches.append(f"{g.edges()}: witness walks differ")
     assert len(graphs) > 4
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
+def test_members_mask_is_the_walked_component(rule):
+    # ``members`` is the one stored form of the winning component: its pair
+    # view and the walk's start read the same bits.  That ``members`` is
+    # the reference descent's is ``test_sweep_matches_per_threshold_descent``.
+    mismatches = []
+    for corpus in sorted(CORPORA):
+        for g in CORPORA[corpus]():
+            report = compute_span(g, rule)
+            members = report.members
+            tracks = extract_witness_tracks(report)
+            start = tracks.f[0] * g.n + tracks.g[0]
+            if not (
+                report.witness_component == tuple(divmod(i, g.n) for i in _bits(members))
+                and members & -members == 1 << start
+            ):
+                mismatches.append(f"{corpus}: {g.edges()}")
     assert mismatches == []
 
 

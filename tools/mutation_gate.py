@@ -130,14 +130,16 @@ MUTANTS = (
         "product.py",
         "return masks[v] << (u * n) | spread[u] << v",
         "return masks[v] << (u * n)",
-        ("tests/test_product.py::TestRuleProperties",),
+        ("tests/test_product.py::TestBuildPairGraph::test_traditional_edges_are_union_of_active_and_lazy",
+         "tests/test_product.py::TestBuildPairGraph::test_union_property_exhaustive_small"),
     ),
     Mutant(
         "strong-step-without-alice-staying",
         "product.py",
         "closed_spread = tuple(s | 1 << (u * n) for u, s in enumerate(spread))",
         "closed_spread = spread",
-        ("tests/test_product.py::TestRuleProperties",),
+        ("tests/test_product.py::TestBuildPairGraph::test_traditional_edges_are_union_of_active_and_lazy",
+         "tests/test_product.py::TestBuildPairGraph::test_union_property_exhaustive_small"),
     ),
     Mutant(
         "oracle-lazy-drops-bob",
