@@ -23,13 +23,12 @@ missing from either walk, and among the nearest, first to one that adds a
 missing vertex to both walks (the greedy set-cover choice).  Only coverage
 matters, so the walks stay short: 399, 201 and 399 positions on P200 under
 the strong, direct and cartesian rules, whose strong-rule component has
-39,800 pairs.
-Where the greedy walk would exceed ``2 * |component| - 1`` positions, the
-closed depth-first traversal of a spanning tree of the component, which
-has that length, is returned instead.  Either way the walk is
-rule-conformant and keeps the promised safety distance.  Both walks read
-the component's breadth-first levels from ``graph._levels`` and step back
-a level to the smallest rule-neighbour there.
+39,800 pairs.  No cap is needed: each leg adds a missing coordinate and is
+no longer than the component's diameter, so a walk on an order-n graph has
+at most ``1 + (2n - 2) * diam(C)`` positions for the component C.  The walk
+is rule-conformant and keeps the promised safety distance.  It reads the
+component's breadth-first levels from ``graph._levels`` and steps back a
+level to the smallest rule-neighbour there.
 """
 
 from __future__ import annotations
@@ -255,13 +254,14 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
     the walks conform, cover every vertex in both coordinates, and their
     minimum distance equals the span.
 
-    Nearest-first covering has no length guarantee of its own, so when the
-    greedy walk would exceed ``2 * |component| - 1`` positions the closed
-    depth-first traversal of a breadth-first spanning tree, which has that
-    length, is returned instead.  Under none of the three rules does a span
-    witness of a labelled connected graph of order <= 6, or of 1,300 seeded
-    random graphs of order 6..20, need it; a hand-built component can
-    (``tests/test_span_sweep.py``).
+    The loop needs no cap to end.  The start covers one vertex in each
+    coordinate and each leg at least one more, so there are at most
+    ``2n - 2`` legs on an order-n graph.  A leg is a shortest path inside
+    the component to the nearest pair that adds a coordinate, so it is no
+    longer than the eccentricity of its start inside the component.  A walk
+    therefore has at most ``1 + (2n - 2) * diam(C)`` positions for the
+    component C.  A component that is not connected, or does not cover,
+    raises ``ValueError``.
     """
     members = report.members
     if not members:
@@ -270,7 +270,6 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
     n = report.graph.n
     step = pair_neighbors(report.graph, report.rule)
     root = (members & -members).bit_length() - 1
-    bound = 2 * members.bit_count() - 1
 
     # Bit u * n + v of ``fresh_f`` (``fresh_g``) is set while vertex u (v)
     # is still missing from the f-walk (g-walk).
@@ -290,9 +289,6 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
                 missing_g ^= 1 << v
                 fresh_g ^= column << v
         walk += path
-        if len(walk) > bound:
-            walk = _closed_dfs(step, members, root)
-            break
         if not (missing_f or missing_g):
             break
 
@@ -330,39 +326,6 @@ def _nearest(step: Callable[[int], int], node: int, level: int) -> int:
     """The smallest rule-neighbour of ``node`` in the bitmask ``level``."""
     back = step(node) & level
     return (back & -back).bit_length() - 1
-
-
-def _closed_dfs(step: Callable[[int], int], members: int, root: int) -> list[int]:
-    """Closed depth-first traversal of a breadth-first spanning tree.
-
-    The tree spans ``members`` from ``root``.  A node's parent is its
-    smallest rule-neighbour one level nearer the root, the rule the greedy
-    walk traces back by.  Each level is read from its top bit, as
-    ``graph._levels`` reads it, so every node's children are listed in
-    descending pair order; pushed in that order, they are visited in
-    ascending order.  Every tree edge is walked down and back up, giving
-    ``2 * |members| - 1`` positions.
-    """
-    children: dict[int, list[int]] = {}
-    above = 1 << root
-    for level in _levels(step, root, members):
-        rest = level  # ``_bits`` would negate the whole mask per node
-        while rest:
-            node = rest.bit_length() - 1
-            rest ^= 1 << node
-            children.setdefault(_nearest(step, node, above), []).append(node)
-        above = level
-
-    # Each node's children are popped on its first visit; the later visits,
-    # on the way back up, only append it to the walk.
-    walk = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        walk.append(node)
-        for child in children.pop(node, ()):
-            stack += (node, child)
-    return walk
 
 
 def validate_tracks(g: Graph, t: TrackPair) -> TrackValidation:

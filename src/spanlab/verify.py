@@ -14,7 +14,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable, Iterator
 
 # direct_to_lazy and lazy_to_direct are not used here; they are re-exported
@@ -72,7 +72,8 @@ def _coverable(g: Graph, r: int, rule: MovementRule) -> bool:
     # of positions, and seen holds bit n + u for each vertex Alice has
     # visited and bit v for each vertex Bob has visited.  A move to (u2, v2)
     # is the int (p2 << 2n) | 1 << (n + u2) | 1 << v2, which carries the new
-    # positions' seen bits, so the successor is move | seen.  The search is
+    # positions' seen bits, so the successor is move | seen; the start state
+    # at a pair is the move to it.  ``entries`` builds both.  The search is
     # depth-first from every start pair at once: a failing search still
     # visits every reachable state, and a succeeding one dives to a complete
     # state instead of first visiting every state at a smaller depth.  Most
@@ -86,17 +87,21 @@ def _coverable(g: Graph, r: int, rule: MovementRule) -> bool:
     lazy = rule is MovementRule.LAZY
     stay = rule is MovementRule.TRADITIONAL
 
+    def entries(options: Iterable[tuple[int, int]]) -> list[int]:
+        """The moves to the pairs of ``options`` at distance >= r."""
+        return [
+            (u2 * n + v2) << shift | 1 << (n + u2) | 1 << v2
+            for u2, v2 in options
+            if dist[u2][v2] >= r
+        ]
+
     visited = bytearray(n * n << shift)
     stack = []
-    for u in range(n):
-        row = dist[u]
-        for v in range(n):
-            if row[v] >= r:
-                state = (u * n + v) << shift | 1 << (n + u) | 1 << v
-                if state & seen_mask == seen_mask:
-                    return True
-                visited[state] = 1
-                stack.append(state)
+    for state in entries(product(range(n), repeat=2)):
+        if state & seen_mask == seen_mask:
+            return True
+        visited[state] = 1
+        stack.append(state)
     moves: list[list[int] | None] = [None] * (n * n)
     while stack:
         state = stack.pop()
@@ -110,11 +115,7 @@ def _coverable(g: Graph, r: int, rule: MovementRule) -> bool:
                 moves_u = adj[u] + (u,) if stay else adj[u]
                 moves_v = adj[v] + (v,) if stay else adj[v]
                 options = [(u2, v2) for u2 in moves_u for v2 in moves_v]
-            out = moves[p] = [
-                (u2 * n + v2) << shift | 1 << (n + u2) | 1 << v2
-                for u2, v2 in options
-                if dist[u2][v2] >= r
-            ]
+            out = moves[p] = entries(options)
         seen = state & seen_mask
         for move in out:
             nxt = move | seen

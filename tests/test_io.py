@@ -4,7 +4,8 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanlab.engine import TrackPair, compute_span, extract_witness_tracks
 from spanlab.errors import (
@@ -13,9 +14,10 @@ from spanlab.errors import (
     EdgeListSyntaxError,
     InvalidTracksError,
     LengthMismatchError,
+    SpanlabError,
     TooLargeError,
 )
-from spanlab.families import cycle_graph, named_graph, path_graph
+from spanlab.families import cycle_graph, generate, named_graph, path_graph, spec_for_token
 from spanlab.graph import Graph
 from spanlab.io import (
     emit_edge_list,
@@ -215,3 +217,56 @@ def test_edge_list_round_trip_random_order():
     rng.shuffle(edges)
     text = "n 4\n" + "\n".join(f"{u} {v}" for u, v in edges)
     assert parse_edge_list(text) == Graph(4, edges)
+
+
+# Digits that ``str.isdigit`` or the regex ``\d`` accept beyond ASCII:
+# Arabic-Indic three, full-width two and superscript two.
+OTHER_DIGITS = "\u0663\uff12\u00b2"
+
+
+def short_text(headers: list[str], alphabet: str):
+    """Strings of at most 19 characters: one of ``headers``, then characters
+    of ``alphabet``."""
+    return st.sampled_from(headers).flatmap(
+        lambda head: st.text(alphabet, max_size=19 - len(head)).map(lambda body: head + body)
+    )
+
+
+def family_graph(token: str) -> Graph | None:
+    """The graph a family token names, None when it names none.  P2048 or
+    Q11 take seconds to build, so an instance with a parameter over 6 stops
+    at its spec."""
+    spec = spec_for_token(token)
+    if spec is None or max(spec.n, spec.m or 0) > 6:
+        return None
+    return generate(spec)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        # Every graph6 byte (63..126) and its neighbours, with the long-form
+        # and ">>graph6<<" headers.
+        (parse_graph6, short_text(
+            ["", "~", "~~", ">>graph6<<"],
+            "".join(map(chr, range(58, 128))) + " \n" + OTHER_DIGITS,
+        )),
+        (parse_edge_list, short_text(
+            ["", "n ", "n 3\n", "n 4\n0 1\n"], "n0123456789 \n\t#-+_" + OTHER_DIGITS,
+        )),
+        (family_graph, short_text(
+            ["", "P", "Q", "K", "BT", "PC"], "PCQKSWBTkpx_,0123456789-" + OTHER_DIGITS,
+        )),
+    ],
+    ids=["graph6", "edge-list", "family-token"],
+)
+@settings(max_examples=300)
+@given(data=st.data())
+def test_malformed_input_raises_only_spanlab_errors(parse, text, data):
+    # The contract each input path keeps: a Graph (or no graph), or a
+    # SpanlabError; never another exception.
+    try:
+        result = parse(data.draw(text))
+    except SpanlabError:
+        return
+    assert result is None or isinstance(result, Graph)

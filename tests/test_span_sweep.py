@@ -4,7 +4,9 @@
 radius down and takes the first doubly covering component, and
 ``reference_tracks`` walks that component nearest-first through the pair
 graph's own adjacency.  ``compute_span`` and ``extract_witness_tracks`` must return
-exactly the same reports and walks, not merely equally valid ones.
+exactly the same reports and walks, not merely equally valid ones.  The
+walk has no length cap: a long greedy walk is returned as is, and its
+length bound, ``1 + (2n - 2) * diam(C)``, is checked leg by leg.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import pytest
 from spanlab.engine import (
     SpanReport,
     TrackPair,
-    _closed_dfs,
     compute_span,
     extract_witness_tracks,
     validate_tracks,
@@ -30,7 +31,7 @@ from spanlab.families import (
     named_graph,
     path_graph,
 )
-from spanlab.graph import Graph, _bits
+from spanlab.graph import Graph, _bits, _levels
 from spanlab.product import (
     MovementRule,
     build_pair_graph,
@@ -90,49 +91,15 @@ def reference_greedy(pg, component) -> list:
     return walk
 
 
-def reference_closed_dfs(pg, component) -> list:
-    """Closed depth-first walk of the breadth-first spanning tree whose
-    parents are each node's smallest neighbour one level nearer the root,
-    with children in ascending pair order."""
-    members = set(component)
-    root = component[0]
-    children: dict = {p: [] for p in members}
-    above = {root}
-    seen = {root}
-    while above:
-        level = {nb for p in above for nb in pg.neighbors(*p) if nb in members} - seen
-        for node in sorted(level):
-            parent = min(nb for nb in pg.neighbors(*node) if nb in above)
-            children[parent].append(node)
-        seen |= level
-        above = level
-
-    walk = []
-
-    def tour(node):
-        walk.append(node)
-        for child in children[node]:
-            tour(child)
-            walk.append(node)
-
-    tour(root)
-    return walk
-
-
 def as_tracks(walk, rule: MovementRule) -> TrackPair:
     """A walk over pairs as Alice's and Bob's walks."""
     return TrackPair(tuple(u for u, _ in walk), tuple(v for _, v in walk), rule)
 
 
 def reference_tracks(report: SpanReport) -> TrackPair:
-    """The greedy walk, or the closed depth-first walk where the greedy one
-    would be longer than ``2 * |component| - 1`` positions."""
+    """The reference greedy walk through the pair graph at the report's span."""
     pg = build_pair_graph(report.graph, report.rule, report.value)
-    component = report.witness_component
-    walk = reference_greedy(pg, component)
-    if len(walk) > 2 * len(component) - 1:
-        walk = reference_closed_dfs(pg, component)
-    return as_tracks(walk, report.rule)
+    return as_tracks(reference_greedy(pg, report.witness_component), report.rule)
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
@@ -224,53 +191,65 @@ def test_p200_cliff():
 
 
 # Nearest-first exploration of this 10-vertex graph from vertex 0 leaves
-# the leaves 4 and 9, at opposite ends, for last: 21 positions, against
-# the closed depth-first walk's 19.
-FALLBACK_EDGES = [
+# the leaves 4 and 9, at opposite ends, for last: 21 positions, more than
+# the 2 * 10 - 1 = 19 of a closed walk round a spanning tree.
+LONG_WALK_EDGES = [
     (0, 2), (0, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 8), (3, 8), (5, 6), (5, 9),
 ]
 
 
+def diagonal_report(rule: MovementRule) -> SpanReport:
+    """A threshold-0 report on the diagonal pairs ``(u, u)`` of the
+    ``LONG_WALK_EDGES`` graph.  There both actors move as one, and every
+    pair adds a new coordinate until it is visited, so the greedy walk is
+    nearest-first exploration of the base graph."""
+    g = Graph(10, LONG_WALK_EDGES)
+    return SpanReport(g, rule, 0, sum(1 << (u * g.n + u) for u in range(g.n)))
+
+
 @pytest.mark.parametrize("rule", [MovementRule.TRADITIONAL, MovementRule.ACTIVE],
                          ids=lambda r: r.value)
-def test_greedy_walk_falls_back_to_closed_dfs(rule):
-    # On the diagonal pairs (u, u) both actors move as one, and every pair
-    # adds a new coordinate until it is visited, so the greedy walk is
-    # nearest-first exploration of the base graph.
-    g = Graph(10, FALLBACK_EDGES)
-    component = tuple((u, u) for u in range(g.n))
-    report = SpanReport(g, rule, 0, sum(1 << (u * g.n + u) for u in range(g.n)))
-    assert report.witness_component == component
-    pg = build_pair_graph(g, rule, 0)
-    assert len(reference_greedy(pg, component)) == 21
+def test_long_greedy_walk_is_returned_as_is(rule):
+    report = diagonal_report(rule)
+    g = report.graph
+    component = report.witness_component
+    assert component == tuple((u, u) for u in range(g.n))
+    walk = reference_greedy(build_pair_graph(g, rule, 0), component)
+    assert len(walk) == 21 > 2 * len(component) - 1
 
     tracks = extract_witness_tracks(report)
-    assert tracks == as_tracks(reference_closed_dfs(pg, component), rule)
-    assert tracks.length == 2 * len(component) - 1
+    assert tracks == as_tracks(walk, rule)
     assert covering(validate_tracks(g, tracks), 0)
 
 
-@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
-def test_closed_dfs_matches_reference_on_every_small_witness(rule):
-    # No span witness of order <= 5 needs the fallback, so it is run on
-    # every winning component directly.  Many of them give a node several
-    # neighbours one level nearer the root, which is where the parent rule
-    # shows.
-    mismatches = []
-    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
-    for g in graphs:
-        report = compute_span(g, rule)
-        component = report.witness_component
-        members = report.members
-        root = (members & -members).bit_length() - 1
-        walk = [divmod(i, g.n) for i in _closed_dfs(pair_neighbors(g, rule), members, root)]
-        if walk != reference_closed_dfs(build_pair_graph(g, rule, report.value), component):
-            mismatches.append(f"{g.edges()}: walks differ")
-            continue
-        assert len(walk) == 2 * len(component) - 1
-        assert covering(validate_tracks(g, as_tracks(walk, rule)), report.value)
-    assert len(graphs) == 772
-    assert mismatches == []
+def test_each_leg_is_within_the_eccentricity_of_its_start():
+    # The walk's length bound, 1 + (2n - 2) * diam(C): the positions that
+    # add a new coordinate are the start and the end of each leg, at most
+    # one per vertex missing from either walk, and each leg is no longer
+    # than the eccentricity of its start inside the component.
+    reports = [compute_span(g, rule) for g in golden_graphs() for rule in RULES]
+    reports += [diagonal_report(rule) for rule in (MovementRule.TRADITIONAL, MovementRule.ACTIVE)]
+    failures = []
+    for report in reports:
+        g, members = report.graph, report.members
+        step = pair_neighbors(g, report.rule)
+        tracks = extract_witness_tracks(report)
+        seen_f, seen_g = set(), set()
+        adding = []
+        for k, (u, v) in enumerate(tracks.positions()):
+            if u not in seen_f or v not in seen_g:
+                adding.append(k)
+            seen_f.add(u)
+            seen_g.add(v)
+        starts = [tracks.f[k] * g.n + tracks.g[k] for k in adding]
+        gaps_ok = all(
+            later - earlier <= sum(1 for _ in _levels(step, start, members))
+            for earlier, later, start in zip(adding, adding[1:], starts)
+        )
+        if not (len(adding) <= 2 * g.n - 1 and adding[-1] == tracks.length - 1 and gaps_ok):
+            failures.append(f"{report.rule.value} {g.edges()}")
+    assert len(reports) == 778 * 3 + 2
+    assert failures == []
 
 
 def test_winner_is_chosen_over_its_mirror_image():
@@ -319,14 +298,18 @@ GOLDEN_DIGEST = "a8ba1bd81d3228d3a308620a5e1982b305214cd76c8c20e1434b9f0e42f3cd9
 WALK_POSITIONS = {"traditional": 5762, "active": 5542, "lazy": 9260}
 
 
-def golden_digest() -> tuple[str, dict[str, int]]:
+def golden_graphs() -> list[Graph]:
     graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
     graphs += [relabelled(path_graph(n), n) for n in (16, 24, 36, 44)]
     graphs += [relabelled(complete_bipartite_graph(k, k), k) for k in (8, 14)]
     assert len(graphs) == 778
+    return graphs
+
+
+def golden_digest() -> tuple[str, dict[str, int]]:
     digest = hashlib.sha256()
     positions = dict.fromkeys((rule.value for rule in RULES), 0)
-    for g in graphs:
+    for g in golden_graphs():
         for rule in RULES:
             report = compute_span(g, rule)
             tracks = extract_witness_tracks(report)

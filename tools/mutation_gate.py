@@ -161,6 +161,16 @@ MUTANTS = (
          "tests/test_oracle_search.py::test_matches_the_engine_at_every_threshold_on_order_6_classes"),
     ),
     Mutant(
+        # A start state and a move are one expression, so this mutant plants
+        # the fault in both.
+        "oracle-state-credits-wrong-vertex",
+        "verify.py",
+        "(u2 * n + v2) << shift | 1 << (n + u2) | 1 << v2",
+        "(u2 * n + v2) << shift | 1 << (n - u2) | 1 << v2",
+        ("tests/test_oracle_search.py::test_depth_first_matches_breadth_first",
+         "tests/test_verify.py::TestOracle::test_c5_lazy_two"),
+    ),
+    Mutant(
         "transform-without-conforms-guard",
         "verify.py",
         "            if not validation.conforms:\n"
