@@ -191,12 +191,13 @@ def sweep_caps() -> dict[str, int]:
     return caps
 
 
-_TOKEN = re.compile(r"^([a-z]+)(\d+)(?:[_,x](\d+))?$", re.IGNORECASE)
+_TOKEN = re.compile(r"^([a-z]+)(\d+)(?:[_,x](\d+))?$", re.ASCII | re.IGNORECASE)
 
 
 def spec_for_token(token: str) -> FamilySpec | None:
     """The family instance a token such as P5, K5, K3_4 (also K3,4 and
-    K3x4) or BT3 names, in either case; None when it names none.
+    K3x4) or BT3 names, in ASCII letters of either case and ASCII digits;
+    None when it names none.
 
     A parameter with more digits than ``graph.MAX_ORDER`` raises
     ``TooLargeError`` before it is converted, since ``int`` refuses strings

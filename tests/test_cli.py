@@ -130,6 +130,16 @@ class TestSpan:
         assert f"line {line}: bad vertex " in err
         assert err.rstrip().endswith(token)
 
+    @pytest.mark.parametrize(
+        "token",
+        ["P\u0663", "K\uff12_3", "\u017f4", "\u212a5"],
+        ids=["arabic-indic", "full-width", "long-s", "kelvin-sign"],
+    )
+    def test_family_tokens_are_ascii(self, token):
+        # Read case-blind, \d and [a-z] also took these as P3, K2,3, S4 and K5.
+        err = assert_error(run_cli("named", token, timeout=20), 2)
+        assert err.startswith(f"spanlab: unknown graph {token!r}; ")
+
     def test_edge_list_numbers_allow_leading_zeros(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("n 0003\n00 01\n1 002\n")

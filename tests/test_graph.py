@@ -4,7 +4,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from spanlab.errors import (
     DisconnectedError,
@@ -15,16 +15,44 @@ from spanlab.errors import (
     VertexOutOfRangeError,
 )
 from spanlab.families import (
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    hypercube_graph,
     paramecium_graph,
     path_graph,
 )
 from spanlab.graph import MAX_ORDER, Graph, _levels, bridges, eccentricity
+from spanlab.verify import random_graphs
 
-from conftest import bridges_by_removal, connected_graphs, floyd_warshall
+from conftest import bridges_by_removal, connected_graphs, floyd_warshall, relabelled
 
 FIG1_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 3), (2, 5)]
+
+
+def grid_graph(side: int) -> Graph:
+    """The side x side grid, vertex ``r * side + c`` at row r, column c."""
+    n = side * side
+    right = [(v, v + 1) for v in range(n) if (v + 1) % side]
+    return Graph(n, right + [(v, v + side) for v in range(n - side)])
+
+
+# Graphs past ``connected_graphs``' order 8: most row masks here are wider
+# than one 30-bit CPython int digit.
+WIDE_GRAPHS = (
+    relabelled(path_graph(80), 1),
+    relabelled(grid_graph(12), 2),
+    complete_bipartite_graph(14, 14),
+    hypercube_graph(6),
+    next(random_graphs(1, (60, 60), 0.1, 3)),
+)
+
+
+def with_wide_examples(test):
+    """``test`` run on each of ``WIDE_GRAPHS`` as an explicit example."""
+    for g in WIDE_GRAPHS:
+        test = example(g=g)(test)
+    return test
 
 
 class TestBuildGraph:
@@ -36,9 +64,14 @@ class TestBuildGraph:
         g = Graph(6, FIG1_EDGES)
         assert g.edge_count == 8
 
-    def test_two_components_rejected(self):
-        with pytest.raises(DisconnectedError):
-            Graph(4, [(0, 1), (2, 3)])
+    @pytest.mark.parametrize(
+        "n, edges, missing",
+        [(4, [(0, 1), (2, 3)], 2), (41, [(v, v + 1) for v in range(39)], 40)],
+        ids=["two-edges", "P40-and-isolated-vertex"],
+    )
+    def test_two_components_rejected(self, n, edges, missing):
+        with pytest.raises(DisconnectedError, match=f"^vertex {missing} unreachable from vertex 0$"):
+            Graph(n, edges)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraphError):
@@ -113,6 +146,7 @@ class TestDistances:
             path_graph(4).distance(u, v)
 
     @given(connected_graphs(max_n=8))
+    @with_wide_examples
     def test_matches_floyd_warshall(self, g):
         assert [list(row) for row in g.distances] == floyd_warshall(g)
 
@@ -160,6 +194,7 @@ class TestEccentricityRadiusDiameter:
         assert Graph(1, []).radius == 0
 
     @given(connected_graphs(max_n=8))
+    @with_wide_examples
     def test_radius_ecc_diameter_chain(self, g):
         for u in range(g.n):
             assert g.radius <= eccentricity(g, u) <= g.diameter <= 2 * g.radius

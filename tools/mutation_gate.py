@@ -46,6 +46,24 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
+        # The source is then reached from its neighbours, at distance 2, and
+        # K1 reaches nothing.
+        "bfs-source-not-reached",
+        "graph.py",
+        "reached = level = 1 << source",
+        "reached, level = 0, 1 << source",
+        ("tests/test_graph.py::TestBuildGraph::test_single_vertex_is_connected",
+         "tests/test_graph.py::TestDistances::test_matches_floyd_warshall"),
+    ),
+    Mutant(
+        "bfs-distance-one-level-too-far",
+        "graph.py",
+        "row[v] = d",
+        "row[v] = d + 1",
+        ("tests/test_graph.py::TestDistances::test_path_endpoints",
+         "tests/test_graph.py::TestDistances::test_matches_floyd_warshall"),
+    ),
+    Mutant(
         "winner-by-max",
         "engine.py",
         "winner = min(qualifying, key=lambda m: m & -m)",
