@@ -138,28 +138,36 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     Pairs ``(u, v)`` with ``u <= v`` join in buckets of
     ``min(d(u, v), radius)``, from the radius down, and each brings its
     mirror ``(v, u)`` into the same union-find set.  A set is a component
-    together with its mirror image; its root keeps ``(members, mirror,
-    cover)``: the member bitmasks of both and the union of the two
-    coordinate projections of ``members``.  Each joining pair is unioned
-    with its live rule-neighbours, which by symmetry unions its mirror with
-    theirs.  Neighbours already inside the growing component are skipped,
-    so each neighbouring set costs one ``find``.  A component and its mirror
-    image are disjoint unless they are one, so ``members == mirror`` marks a
-    symmetric set, as a diagonal pair is from the start.  A neighbour in the
-    growing set's own ``mirror`` makes the component meet its mirror image.
-    Otherwise the growing set goes under the neighbour's root, whose half
-    holding the neighbour joins ``members`` and other half ``mirror``,
-    swapping its cover if need be; the merge is symmetric if either side was.
+    together with its mirror image.  Its root's record is the member
+    bitmasks of both and the component's cover, the union of the two
+    coordinate projections of ``members``.  The records live in three lists
+    indexed by root, allocated once per sweep beside ``parent``: three
+    pointer lists of ``n * n`` slots, 24 bytes per pair index on a 64-bit
+    build.  A set that goes under another root clears its masks, so only
+    roots hold them.  Each joining pair is unioned with its live
+    rule-neighbours, which by symmetry unions its mirror with theirs.
+    Neighbours already inside the growing component are skipped, so each
+    neighbouring set costs one root lookup: one list read when the
+    neighbour's parent is the root, path halving otherwise.  A component
+    and its mirror image are disjoint unless they are one, so ``members ==
+    mirror`` marks a symmetric set, as a diagonal pair is from the start.  A
+    neighbour in the growing set's own ``mirror`` makes the component meet
+    its mirror image.  Otherwise the growing set goes under the neighbour's
+    root, whose half holding the neighbour joins ``members`` and other half
+    ``mirror``, swapping its cover if need be; the merge is symmetric if
+    either side was.
 
     A component that covers every vertex in both coordinates still does at
     every lower threshold, and it covers exactly when its mirror image does,
     so the first bucket that leaves one covering gives the span.  Only
-    components that bucket touched can have just started covering; among
-    them, and both halves of each set, the one with the smallest pair index
-    is the witness.  Threshold 0 joins every pair, so the sweep always ends
-    with a witness.  The buckets and the step table come from the graph's
-    pair space (``product._pair_space``), so the sweeps under the three
-    rules and the witness walks of one graph build them once.
+    components that bucket touched can have just started covering.  Each
+    distinct root recorded as covering is resolved once to the root it is
+    under now; among those sets, and both halves of each, the one with the
+    smallest pair index is the witness.  Threshold 0 joins every pair, so
+    the sweep always ends with a witness.  The buckets and the step table
+    come from the graph's pair space (``product._pair_space``), so the
+    sweeps under the three rules and the witness walks of one graph build
+    them once.
     """
     n = g.n
     step = pair_neighbors(g, rule)
@@ -171,17 +179,15 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     block = (1 << n) - 1
     covering = (1 << 2 * n) - 1
     parent = list(range(n * n))
-    # root -> (members, mirror, cover); the root's set holds both masks' pairs.
-    comps: dict[int, tuple[int, int, int]] = {}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
+    # The records by root: the member masks of a set's component and of its
+    # mirror image, and the component's cover.  Only roots hold masks.
+    members_of = [0] * (n * n)
+    mirror_of = [0] * (n * n)
+    cover_of = [0] * (n * n)
 
     live = 0
     for r in range(g.radius, -1, -1):
-        won = []  # roots of covering components, all new in this bucket
+        won = set()  # roots of covering components, all new in this bucket
         for i in buckets[r]:
             u, v = divmod(i, n)
             m = v * n + u
@@ -195,16 +201,23 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
             # the whole n*n-bit mask once more per neighbouring component.
             while todo:
                 j = todo.bit_length() - 1
-                other = find(j)
+                # j's root, by path halving; mostly j's parent is the root.
+                other = parent[j]
+                if parent[other] != other:
+                    other = j
+                    while parent[other] != other:
+                        parent[other] = other = parent[parent[other]]
                 if other == root:
                     # j is not in members, so it lies in the mirror image:
                     # the component meets its mirror, and they are one.
                     joined = True
                 else:
-                    o_members, o_mirror, o_cover = comps.pop(other)
+                    o_members, o_mirror = members_of[other], mirror_of[other]
+                    o_cover = cover_of[other]
                     # Read before the masks below are ORed together.
                     joined = members == mirror or o_members == o_mirror
                     # The growing set goes under the neighbour's root.
+                    members_of[root] = mirror_of[root] = 0
                     parent[root] = root = other
                     if o_members >> j & 1:
                         members |= o_members
@@ -218,16 +231,19 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                     members = mirror = members | mirror
                     cover |= cover >> n | (cover & block) << n
                 todo ^= todo & members
-            comps[root] = (members, mirror, cover)
+            members_of[root], mirror_of[root], cover_of[root] = members, mirror, cover
             if cover == covering:
-                won.append(root)
+                won.add(root)
 
         if won:
-            # A component covers exactly when its mirror image does.
+            # A covering root may have gone under another since; each is
+            # resolved once.  A component covers exactly when its mirror
+            # image does.
             qualifying = []
-            for root in {find(root) for root in won}:
-                members, mirror, _ = comps[root]
-                qualifying += (members, mirror)
+            for root in won:
+                while parent[root] != root:
+                    root = parent[root]
+                qualifying += (members_of[root], mirror_of[root])
             winner = min(qualifying, key=lambda m: m & -m)
             return SpanReport(g, rule, r, winner)
     raise AssertionError("threshold 0 must always admit a covering component")

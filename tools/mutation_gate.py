@@ -74,9 +74,20 @@ MUTANTS = (
     Mutant(
         "winner-own-half-only",
         "engine.py",
-        "qualifying += (members, mirror)",
-        "qualifying.append(members)",
+        "qualifying += (members_of[root], mirror_of[root])",
+        "qualifying.append(members_of[root])",
         ("tests/test_span_sweep.py::test_winner_is_chosen_over_its_mirror_image",),
+    ),
+    Mutant(
+        # A covering root that has since gone under another root keeps no
+        # masks, so its records read as an empty component.
+        "covering-root-unresolved",
+        "engine.py",
+        "                while parent[root] != root:\n"
+        "                    root = parent[root]\n",
+        "",
+        ("tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent",
+         "tests/test_span_sweep.py::test_golden_digest"),
     ),
     Mutant(
         "joined-without-cover-swap",
