@@ -122,7 +122,7 @@ class Graph:
         self.n = n
         self.labels = labels
         self._masks = tuple(masks)
-        self._adj = tuple(tuple(_bits(m)) for m in masks)
+        self._adj = tuple(_ascending(m) for m in masks)
         self._dist = tuple(rows)
         self._ecc = tuple(max(row) for row in rows)
         self._pairs = None
@@ -209,6 +209,18 @@ def _bfs_row(masks: Sequence[int], n: int, source: int) -> tuple[list[int], int]
         level = (nxt | reached) ^ reached
         reached |= level
     return row, reached
+
+
+def _ascending(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask``, ascending, read from the top bit
+    as in ``_bfs_row``: ``_bits`` negates per bit and resumes a generator."""
+    out = []
+    while mask:
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    out.reverse()
+    return tuple(out)
 
 
 def eccentricity(g: Graph, u: int) -> int:

@@ -100,15 +100,28 @@ def test_depth_first_matches_breadth_first(rule):
             assert _coverable(g, r, rule) == reference_coverable(g, r, rule), (g.edges(), r)
 
 
-def test_matches_the_engine_at_every_threshold_on_order_6_classes():
+def _assert_matches_the_engine(graphs: list[Graph]) -> None:
     # Coverability falls as the threshold rises, so the oracle must answer
-    # yes exactly up to the engine's span.  The breadth-first reference is
-    # too slow for order 6; this checks every threshold, not just the span
-    # that ``oracle_span`` descends to.
-    classes = list(enumerate_connected(6, dedup=True))
-    assert len(classes) == 112
-    for g in classes:
+    # yes exactly up to the engine's span.  This checks every threshold, not
+    # just the span that ``oracle_span`` descends to.
+    for g in graphs:
         for rule in RULES:
             span = compute_span(g, rule).value
             for r in range(g.radius + 2):
                 assert _coverable(g, r, rule) == (r <= span), (g.edges(), rule, r)
+
+
+def test_matches_the_engine_at_every_threshold_on_order_6_classes():
+    # The breadth-first reference is too slow for order 6.
+    classes = list(enumerate_connected(6, dedup=True))
+    assert len(classes) == 112
+    _assert_matches_the_engine(classes)
+
+
+def test_matches_the_engine_at_every_threshold_on_labelled_order_5_graphs():
+    # Every labelling, not one graph per class: the start states and moves
+    # come from per-vertex tables, so a fault there can hang on a vertex's
+    # label, and each of the 21 class representatives has one labelling.
+    graphs = list(enumerate_connected(5))
+    assert len(graphs) == 728
+    _assert_matches_the_engine(graphs)

@@ -339,6 +339,17 @@ class TestCheckTheorems:
             with pytest.raises(ValueError, match="oracle"):
                 check_theorems(corpus, jobs=jobs, oracle_max_n=ORACLE_MAX_N + 1)
 
+    def test_check_graph_refuses_an_oracle_cap_over_the_limit_up_front(self, monkeypatch):
+        # Refused whether or not the graph is small enough for the oracle,
+        # and before any span is computed.
+        def fail(*args, **kwargs):
+            raise AssertionError("a span was computed")
+
+        monkeypatch.setattr(verify, "compute_span", fail)
+        for g in (path_graph(ORACLE_MAX_N), path_graph(ORACLE_MAX_N + 1)):
+            with pytest.raises(ValueError, match="over the oracle's cap"):
+                check_graph(g, oracle_max_n=ORACLE_MAX_N + 1)
+
     @pytest.mark.parametrize("broken", ["active_stay", "lazy_both_move"])
     def test_nonconforming_witness_is_recorded_not_raised(self, broken, monkeypatch):
         # A stay step breaks the active rule, and the active witness's steps,

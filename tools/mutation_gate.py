@@ -173,8 +173,16 @@ MUTANTS = (
     Mutant(
         "oracle-lazy-drops-bob",
         "verify.py",
-        "options = [(u2, v) for u2 in adj[u]] + [(u, v2) for v2 in adj[v]]",
-        "options = [(u2, v) for u2 in adj[u]]",
+        "                out += [f_u + into_g[y] for y in adj[v] if row_u[y] >= r]\n",
+        "",
+        ("tests/test_oracle_search.py::test_depth_first_matches_breadth_first",
+         "tests/test_oracle_search.py::test_matches_the_engine_at_every_threshold_on_order_6_classes"),
+    ),
+    Mutant(
+        "oracle-lazy-drops-alice",
+        "verify.py",
+        "out = [into_f[x] + g_v for x in adj[u] if dist[x][v] >= r]",
+        "out = []",
         ("tests/test_oracle_search.py::test_depth_first_matches_breadth_first",
          "tests/test_oracle_search.py::test_matches_the_engine_at_every_threshold_on_order_6_classes"),
     ),
@@ -190,12 +198,12 @@ MUTANTS = (
          "tests/test_oracle_search.py::test_matches_the_engine_at_every_threshold_on_order_6_classes"),
     ),
     Mutant(
-        # A start state and a move are one expression, so this mutant plants
-        # the fault in both.
+        # Start states and moves are both sums of the two tables, so this
+        # mutant plants the fault in both.
         "oracle-state-credits-wrong-vertex",
         "verify.py",
-        "(u2 * n + v2) << shift | 1 << (n + u2) | 1 << v2",
-        "(u2 * n + v2) << shift | 1 << (n - u2) | 1 << v2",
+        "into_f = [x * n << shift | 1 << (n + x) for x in range(n)]",
+        "into_f = [x * n << shift | 1 << (n - x) for x in range(n)]",
         ("tests/test_oracle_search.py::test_depth_first_matches_breadth_first",
          "tests/test_verify.py::TestOracle::test_c5_lazy_two"),
     ),
