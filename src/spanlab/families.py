@@ -4,8 +4,8 @@ Every generator documents its vertex numbering, because downstream tools
 (witness tables, DOT output) print raw ids.  ``expected_spans`` returns the
 closed-form span triples the families are known to satisfy; the test suite
 checks the engine against them across desk-scale parameter sweeps.  Each
-family's token, parameter floor, order, edges, closed form, sweep range and
-``spanlab families`` cap option are stated once, in ``_FAMILIES``.
+family's token, parameter floor, order, edges, closed form and sweep range
+are stated once, in ``_FAMILIES``.
 """
 
 from __future__ import annotations
@@ -37,12 +37,6 @@ class FamilySpec:
             return f"{family.token}_{{{self.n},{self.m}}}"
         return f"{family.token}_{self.n}"
 
-    @property
-    def cap(self) -> str:
-        """The ``--max-<cap>`` option of ``spanlab families`` that caps this
-        instance's parameters."""
-        return _family(self.kind).cap
-
 
 class ExpectedSpans(NamedTuple):
     """Closed-form (strong, direct, cartesian) span values."""
@@ -57,8 +51,8 @@ class _Family(NamedTuple):
 
     Each of the ``arity`` parameters must be at least ``floor``; ``needs``
     is the message for one that is not, with ``{}`` where the floor goes.
-    The default sweep runs each parameter from ``floor`` to ``sweep_top``;
-    ``spanlab families`` lowers that top with the ``--max-<cap>`` option.
+    The default sweep, which ``spanlab families`` runs, takes each
+    parameter from ``floor`` to ``sweep_top``.
     ``order``, ``edges`` and ``spans`` take the parameters and give the
     vertex count, the edge list and the closed-form (strong, direct,
     cartesian) spans.
@@ -68,7 +62,6 @@ class _Family(NamedTuple):
     floor: int
     needs: str
     sweep_top: int
-    cap: str
     order: Callable[..., int]
     edges: Callable[..., list[tuple[int, int]]]
     spans: Callable[..., tuple[int, int, int]]
@@ -77,56 +70,56 @@ class _Family(NamedTuple):
 
 _FAMILIES = {
     "path": _Family(
-        "P", 2, "path needs n >= {}", 10, cap="path",
+        "P", 2, "path needs n >= {}", 10,
         order=lambda n: n,
         edges=lambda n: [(i, i + 1) for i in range(n - 1)],
         spans=lambda n: (1, 1, 0),
     ),
     "cycle": _Family(
-        "C", 3, "cycle needs n >= {}", 10, cap="cycle",
+        "C", 3, "cycle needs n >= {}", 10,
         order=lambda n: n,
         edges=lambda n: [(i, (i + 1) % n) for i in range(n)],
         spans=lambda n: (n // 2, n // 2, (n - 1) // 2),
     ),
     "hypercube": _Family(
-        "Q", 2, "hypercube needs dimension >= {}", 4, cap="hypercube",
+        "Q", 2, "hypercube needs dimension >= {}", 4,
         order=lambda d: 1 << d,
         edges=lambda d: [(u, u | (1 << b)) for u in range(1 << d) for b in range(d) if not u >> b & 1],
         spans=lambda d: (d, d, d - 1),
     ),
     "complete_bipartite": _Family(
-        "K", 2, "biclique needs r, s >= {}", 4, cap="biclique",
+        "K", 2, "biclique needs r, s >= {}", 4,
         order=lambda r, s: r + s,
         edges=lambda r, s: [(u, r + v) for u in range(r) for v in range(s)],
         spans=lambda r, s: (2, 2, 1),
         arity=2,
     ),
     "complete": _Family(
-        "K", 3, "complete graph needs n >= {}", 8, cap="complete",
+        "K", 3, "complete graph needs n >= {}", 8,
         order=lambda n: n,
         edges=lambda n: list(combinations(range(n), 2)),
         spans=lambda n: (1, 1, 1),
     ),
     "star": _Family(
-        "S", 4, "star needs n >= {} vertices", 8, cap="complete",
+        "S", 4, "star needs n >= {} vertices", 8,
         order=lambda n: n,
         edges=lambda n: [(0, v) for v in range(1, n)],
         spans=lambda n: (1, 1, 1),
     ),
     "wheel": _Family(
-        "W", 4, "wheel needs n >= {} vertices", 8, cap="complete",
+        "W", 4, "wheel needs n >= {} vertices", 8,
         order=lambda n: n,
         edges=lambda n: [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)],
         spans=lambda n: (1, 1, 1),
     ),
     "paramecium": _Family(
-        "PC", 3, "paramecium needs n >= {}", 9, cap="paramecium",
+        "PC", 3, "paramecium needs n >= {}", 9,
         order=lambda n: 2 * n,
         edges=lambda n: [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)],
         spans=lambda n: ((n + 1) // 2, n // 2, (n + 1) // 2),
     ),
     "binary_tree": _Family(
-        "BT", 1, "binary tree needs height >= {}", 4, cap="tree-height",
+        "BT", 1, "binary tree needs height >= {}", 4,
         order=lambda h: (1 << (h + 1)) - 1,
         edges=lambda h: [(i, c) for i in range((1 << h) - 1) for c in (2 * i + 1, 2 * i + 2)],
         # The height-1 tree is the 3-vertex path, so the path values apply;
@@ -180,15 +173,6 @@ def default_family_sweep() -> list[FamilySpec]:
         for kind, family in _FAMILIES.items()
         for params in product(range(family.floor, family.sweep_top + 1), repeat=family.arity)
     ]
-
-
-def sweep_caps() -> dict[str, int]:
-    """Each ``--max-<cap>`` option of ``spanlab families``, in table order,
-    with its default: the largest ``sweep_top`` among the families it caps."""
-    caps: dict[str, int] = {}
-    for family in _FAMILIES.values():
-        caps[family.cap] = max(caps.get(family.cap, 0), family.sweep_top)
-    return caps
 
 
 _TOKEN = re.compile(r"^([a-z]+)(\d+)(?:[_,x](\d+))?$", re.ASCII | re.IGNORECASE)

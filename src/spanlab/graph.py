@@ -29,12 +29,17 @@ Edge = tuple[int, int]
 MAX_ORDER = 2048
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask``, ascending.  Read from the top bit,
+    as ``_bfs_row`` reads levels, and reversed: a step clears the top bit
+    with no negation."""
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    out.reverse()
+    return tuple(out)
 
 
 def _levels(
@@ -50,7 +55,7 @@ def _levels(
         yield level
         unseen ^= level
         reached = 0
-        rest = level  # read from the top bit: ``_bits`` negates per node
+        rest = level  # read from the top bit, as ``_bits`` reads, with no tuple
         while rest:
             i = rest.bit_length() - 1
             rest ^= 1 << i
@@ -113,7 +118,7 @@ class Graph:
         for s in range(n):
             row, reached = _bfs_row(masks, n, s)
             if reached != full:
-                missing = next(_bits(full & ~reached))
+                missing = _bits(full & ~reached)[0]
                 raise DisconnectedError(
                     f"vertex {missing} unreachable from vertex {s}"
                 )
@@ -122,7 +127,7 @@ class Graph:
         self.n = n
         self.labels = labels
         self._masks = tuple(masks)
-        self._adj = tuple(_ascending(m) for m in masks)
+        self._adj = tuple(_bits(m) for m in masks)
         self._dist = tuple(rows)
         self._ecc = tuple(max(row) for row in rows)
         self._pairs = None
@@ -209,18 +214,6 @@ def _bfs_row(masks: Sequence[int], n: int, source: int) -> tuple[list[int], int]
         level = (nxt | reached) ^ reached
         reached |= level
     return row, reached
-
-
-def _ascending(mask: int) -> tuple[int, ...]:
-    """The set bit positions of ``mask``, ascending, read from the top bit
-    as in ``_bfs_row``: ``_bits`` negates per bit and resumes a generator."""
-    out = []
-    while mask:
-        i = mask.bit_length() - 1
-        out.append(i)
-        mask ^= 1 << i
-    out.reverse()
-    return tuple(out)
 
 
 def eccentricity(g: Graph, u: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import permutations
 from typing import Iterable, Iterator
 
@@ -141,7 +141,6 @@ def _coverable(g: Graph, r: int, rule: MovementRule) -> bool:
 # -- exhaustive enumeration -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _perm_slot_maps(n: int) -> tuple[tuple[int, ...], ...]:
     slots = _slots(n)
     slot_index = {uv: i for i, uv in enumerate(slots)}

@@ -463,40 +463,21 @@ class TestFamilies:
         assert main(["families", "--machine"]) == 0
         assert capsys.readouterr().out == FAMILIES_MACHINE
 
-    def test_reduced_sweep_passes(self, capsys):
-        code = main(
-            [
-                "families",
-                "--max-path", "6",
-                "--max-cycle", "6",
-                "--max-hypercube", "3",
-                "--max-biclique", "3",
-                "--max-complete", "5",
-                "--max-paramecium", "5",
-                "--max-tree-height", "3",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.strip().endswith("rows match")
-        assert "FAIL" not in out
-        assert "C_6" in out and "PC_5" in out
+    def test_cap_option_is_refused(self, capsys):
+        # The family table alone sets the sweep; no option caps it.
+        with pytest.raises(SystemExit) as exc:
+            main(["families", "--max-path", "3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --max-path 3" in err
 
-    def test_machine_rows(self, capsys):
-        main(["families", "--max-path", "3", "--max-cycle", "3", "--max-hypercube", "2",
-              "--max-biclique", "2", "--max-complete", "3", "--max-paramecium", "3",
-              "--max-tree-height", "1", "--machine"])
-        out = capsys.readouterr().out
-        assert "family=P_2" in out and "pass=1" in out
-
-
-    def test_added_family_row_gets_option_and_rows(self, monkeypatch, capsys):
-        line = families._FAMILIES["path"]._replace(token="L", sweep_top=4, cap="line")
+    def test_added_family_row_gets_rows(self, monkeypatch, capsys):
+        line = families._FAMILIES["path"]._replace(token="L", sweep_top=4)
         monkeypatch.setitem(families._FAMILIES, "line", line)
-        assert main(["families", "--max-line", "3"]) == 0
+        assert main(["families"]) == 0
         out = capsys.readouterr().out
-        assert "L_2 " in out and "L_3 " in out and "L_4 " not in out
-        assert out.endswith("PASS 58/58 rows match\n")
+        assert "L_2 " in out and "L_4 " in out and "L_5 " not in out
+        assert out.endswith("PASS 59/59 rows match\n")
         assert main(["families", "--machine"]) == 0
         assert "family=L_4 " in capsys.readouterr().out
 

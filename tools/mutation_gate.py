@@ -56,6 +56,17 @@ MUTANTS = (
          "tests/test_graph.py::TestDistances::test_matches_floyd_warshall"),
     ),
     Mutant(
+        # Every adjacency row then runs top bit first, and the disconnected
+        # error names the largest unreached vertex.
+        "bits-descending",
+        "graph.py",
+        "    out.reverse()\n",
+        "",
+        ("tests/test_graph.py::TestBuildGraph::test_edges_are_the_sorted_normalised_input",
+         "tests/test_graph.py::TestBuildGraph::test_two_components_rejected",
+         "tests/test_span_sweep.py::test_golden_digest"),
+    ),
+    Mutant(
         "bfs-distance-one-level-too-far",
         "graph.py",
         "row[v] = d",
@@ -132,6 +143,14 @@ MUTANTS = (
         "spans=lambda h: (h - 1, h - 1, h - 1) if h > 1 else (1, 1, 0),",
         "spans=lambda h: (h - 1, h - 1, h - 1),",
         ("tests/test_acceptance.py::test_criterion_03_binary_trees",),
+    ),
+    Mutant(
+        "family-sweep-drops-top",
+        "families.py",
+        "range(family.floor, family.sweep_top + 1)",
+        "range(family.floor, family.sweep_top)",
+        ("tests/test_cli.py::TestFamilies::test_default_sweep_pinned",
+         "tests/test_cli.py::TestFamilies::test_machine_sweep_pinned"),
     ),
     Mutant(
         "checked-graph-keeps-pair-space",
