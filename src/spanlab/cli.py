@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import families, io, verify
 from .engine import compute_span, extract_witness_tracks
@@ -116,9 +116,14 @@ def _cmd_families(args: argparse.Namespace) -> int:
     return 1 if mismatches else 0
 
 
-def _sweep(corpus: list[Graph], args: argparse.Namespace) -> int:
-    """Check a corpus and print its summary.  The records file is opened
-    first, so an unwritable path fails before the sweep runs."""
+def _sweep(draw: Callable[[], Iterable[Graph]], args: argparse.Namespace) -> int:
+    """Check the corpus ``draw()`` yields and print its summary.  A bad
+    corpus parameter (a ValueError) exits 2.  The corpus is drawn before
+    the records file is opened, and the file before the sweep runs."""
+    try:
+        corpus = list(draw())
+    except ValueError as exc:
+        raise _Exit(2, str(exc)) from exc
     try:
         records = open(args.records, "w", encoding="utf-8") if args.records else None
     except OSError as exc:
@@ -137,11 +142,7 @@ def _sweep(corpus: list[Graph], args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_enumerate(args: argparse.Namespace) -> int:
-    try:
-        corpus = list(verify.enumerate_connected(args.n, dedup=args.dedup))
-    except ValueError as exc:
-        raise _Exit(2, str(exc)) from exc
-    return _sweep(corpus, args)
+    return _sweep(lambda: verify.enumerate_connected(args.n, dedup=args.dedup), args)
 
 
 def _cmd_verify_random(args: argparse.Namespace) -> int:
@@ -152,13 +153,8 @@ def _cmd_verify_random(args: argparse.Namespace) -> int:
             seed = int(env)
         except ValueError:
             raise _Exit(2, f"SPANLAB_SEED must be an integer, got {env!r}") from None
-    try:
-        corpus = list(
-            verify.random_graphs(args.count, (args.n_min, args.n_max), args.p, seed)
-        )
-    except ValueError as exc:
-        raise _Exit(2, str(exc)) from exc
-    return _sweep(corpus, args)
+    orders = (args.n_min, args.n_max)
+    return _sweep(lambda: verify.random_graphs(args.count, orders, args.p, seed), args)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:

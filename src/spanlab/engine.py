@@ -144,7 +144,8 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     indexed by root, allocated once per sweep beside ``parent``: three
     pointer lists of ``n * n`` slots, 24 bytes per pair index on a 64-bit
     build.  A set that goes under another root clears its masks, so only
-    roots hold them.  Each joining pair is unioned with its live
+    roots hold them; a lone pair off the diagonal holds none, and a merge
+    derives its masks.  Each joining pair is unioned with its live
     rule-neighbours, which by symmetry unions its mirror with theirs.
     Neighbours already inside the growing component are skipped, so each
     neighbouring set costs one root lookup: one list read when the
@@ -213,6 +214,9 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                     joined = True
                 else:
                     o_members, o_mirror = members_of[other], mirror_of[other]
+                    if not o_members:  # a lone pair, whose masks are derived
+                        a, b = divmod(other, n)
+                        o_members, o_mirror = 1 << other, 1 << (b * n + a)
                     o_cover = cover_of[other]
                     # Read before the masks below are ORed together.
                     joined = members == mirror or o_members == o_mirror
@@ -231,7 +235,9 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                     members = mirror = members | mirror
                     cover |= cover >> n | (cover & block) << n
                 todo ^= todo & members
-            members_of[root], mirror_of[root], cover_of[root] = members, mirror, cover
+            cover_of[root] = cover
+            if root != i or members == mirror:  # not one pair off the diagonal
+                members_of[root], mirror_of[root] = members, mirror
             if cover == covering:
                 won.add(root)
 

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ParameterOutOfRangeError, TooLargeError, UnknownGraphIdError
 from .graph import MAX_ORDER, Graph
+from .io import quoted
 
 
 @dataclass(frozen=True)
@@ -301,6 +302,6 @@ def named_graph(graph_id: str) -> Graph:
         n, edges, labels = _NAMED[graph_id]
     except KeyError:
         raise UnknownGraphIdError(
-            f"unknown graph id {graph_id!r}; known: {', '.join(NAMED_GRAPH_IDS)}"
+            f"unknown graph id {quoted(graph_id)}; known: {', '.join(NAMED_GRAPH_IDS)}"
         ) from None
     return Graph(n, edges, labels)

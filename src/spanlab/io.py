@@ -10,6 +10,8 @@ red/blue numbered arrows.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .engine import TrackPair
 from .errors import (
     BadCharError,
@@ -94,18 +96,18 @@ def emit_edge_list(g: Graph) -> str:
 # -- graph6 format ------------------------------------------------------------
 
 
-def _slots(n: int) -> list[tuple[int, int]]:
+def _slots(n: int) -> Iterator[tuple[int, int]]:
     """Edge slots in graph6 column order: (0,1), (0,2), (1,2), (0,3), ..."""
-    return [(u, v) for v in range(1, n) for u in range(v)]
+    return ((u, v) for v in range(1, n) for u in range(v))
 
 
-def _sextets(text: str, what: str) -> list[int]:
+def _sextets(text: str, what: str) -> Iterator[int]:
     """The 6-bit values of graph6 bytes (characters 63..126)."""
-    values = [ord(ch) - 63 for ch in text]
-    for ch, val in zip(text, values):
+    for ch in text:
+        val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise BadCharError(f"bad {what} byte {ch!r}")
-    return values
+        yield val
 
 
 def parse_graph6(line: str) -> Graph:
@@ -133,18 +135,16 @@ def parse_graph6(line: str) -> Graph:
     if n > MAX_ORDER:
         raise TooLargeError(f"graph6 order {n} is over {MAX_ORDER}, the order cap")
 
-    slots = _slots(n)
-    need = (len(slots) + 5) // 6
+    slots = n * (n - 1) // 2
+    need = (slots + 5) // 6
     if len(body) != need:
         raise LengthMismatchError(
             f"graph6 body for n={n} needs {need} bytes, got {len(body)}"
         )
-    bits = [
-        val >> shift & 1 for val in _sextets(body, "data") for shift in range(5, -1, -1)
-    ]
-    if any(bits[len(slots):]):
+    bits = "".join(format(val, "06b") for val in _sextets(body, "data"))
+    if "1" in bits[slots:]:
         raise LengthMismatchError("nonzero padding bits")
-    return Graph(n, [slot for slot, bit in zip(slots, bits) if bit])
+    return Graph(n, [slot for slot, bit in zip(_slots(n), bits) if bit == "1"])
 
 
 def emit_graph6(g: Graph) -> str:
@@ -152,16 +152,12 @@ def emit_graph6(g: Graph) -> str:
     long form (``~`` and three 6-bit bytes) from 63."""
     n = g.n
     masks = g._masks
-    bits = [masks[v] >> u & 1 for u, v in _slots(n)]
-    bits += [0] * (-len(bits) % 6)
+    bits = "".join("1" if masks[v] >> u & 1 else "0" for u, v in _slots(n))
+    bits += "0" * (-len(bits) % 6)
     # The long form's first byte, 63 + 63, is "~".
     size = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
     chars = [chr(63 + val) for val in size]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = val << 1 | b
-        chars.append(chr(63 + val))
+    chars += (chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
     return "".join(chars)
 
 

@@ -142,7 +142,7 @@ def _coverable(g: Graph, r: int, rule: MovementRule) -> bool:
 
 
 def _perm_slot_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    slots = _slots(n)
+    slots = list(_slots(n))
     slot_index = {uv: i for i, uv in enumerate(slots)}
     maps = []
     for perm in permutations(range(n)):
@@ -179,7 +179,7 @@ def enumerate_connected(n: int, dedup: bool = False) -> Iterator[Graph]:
         raise TooLargeError(f"enumeration caps at n <= {ENUMERATE_MAX_N}, got {n}")
     if dedup and n > DEDUP_MAX_N:
         raise TooLargeError(f"dedup enumeration caps at n <= {DEDUP_MAX_N}, got {n}")
-    slots = _slots(n)
+    slots = list(_slots(n))
     perm_maps = _perm_slot_maps(n) if dedup else ()
     for mask in range(1 << len(slots)):
         # Connectivity is invariant under relabelling, so testing the class

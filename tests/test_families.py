@@ -187,6 +187,13 @@ class TestNamedGraphs:
         with pytest.raises(UnknownGraphIdError):
             named_graph("fig9")
 
+    def test_unknown_id_is_quoted_short(self):
+        # The id is cut as the CLI cuts a bad token, so a huge id does not
+        # make a huge message.
+        with pytest.raises(UnknownGraphIdError) as err:
+            named_graph("Z" * 4400)
+        assert len(str(err.value)) < 200 and "'ZZZZ" in str(err.value)
+
     def test_atlas_span_pairs(self):
         # The fig7 graphs' (direct, cartesian) pairs: the engine agrees with
         # the oracle.  The acceptance suite checks both against its table.

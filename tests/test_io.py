@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -161,6 +162,26 @@ class TestGraph6:
     def test_header_over_order_cap(self, line):
         with pytest.raises(TooLargeError):
             parse_graph6(line)
+
+    def test_codec_holds_no_quadratic_lists(self):
+        # The codec streams its n(n-1)/2 slots: emit holds one character per
+        # slot, and parse costs little more than building the graph.  A list
+        # of slot tuples or of bit ints would take several MB on P400.
+        g = path_graph(400)
+        tracemalloc.start()
+        try:
+            line = emit_graph6(g)
+            emit_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            parse_graph6(line)
+            parse_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            Graph(g.n, g.edges())
+            build_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emit_peak < 2 << 20
+        assert parse_peak < 1.2 * build_peak
 
 
 FIG1_WALKS = TrackPair(f=(3, 4, 5, 0, 1, 2), g=(0, 1, 3, 2, 5, 4), rule=MovementRule.ACTIVE)

@@ -12,6 +12,9 @@ length bound, ``1 + (2n - 2) * diam(C)``, is checked leg by leg.
 from __future__ import annotations
 
 import hashlib
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -200,6 +203,33 @@ def test_p200_cliff():
         spans.append(report.value)
     assert spans == [1, 1, 0]
     assert time.perf_counter() - start < 60
+
+
+def test_lone_pairs_hold_no_masks():
+    # Under the cartesian rule, none of K150,150's 22,350 pairs at distance
+    # 2 has a live neighbour, so each stays alone until the sweep stops at
+    # threshold 1.  Their member and mirror masks, of up to 90,000 bits
+    # each, would take about 250 MB, and the span would not run in 160 MiB.
+    code = (
+        "from spanlab.engine import compute_span\n"
+        "from spanlab.families import complete_bipartite_graph\n"
+        "from spanlab.product import MovementRule\n"
+        "g = complete_bipartite_graph(150, 150)\n"
+        "print(compute_span(g, MovementRule.LAZY).value)\n"
+    )
+
+    def limit_address_space():
+        limit = 160 << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=limit_address_space,
+    )
+    assert (result.returncode, result.stdout) == (0, "1\n"), result.stderr
 
 
 # Nearest-first exploration of this 10-vertex graph from vertex 0 leaves

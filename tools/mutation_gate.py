@@ -123,12 +123,33 @@ MUTANTS = (
         ("tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent",),
     ),
     Mutant(
+        # K1's one pair, on the diagonal, then keeps no masks, so its
+        # covering set reads as an empty component.
+        "lone-pair-guard-drops-symmetric-sets",
+        "engine.py",
+        "if root != i or members == mirror:",
+        "if root != i:",
+        ("tests/test_engine.py::TestComputeSpan::test_single_vertex",
+         "tests/test_span_sweep.py::test_golden_digest",
+         "tests/test_cli.py::TestWitness::test_k1_single_row"),
+    ),
+    Mutant(
         "walk-without-both-preference",
         "engine.py",
         "hit = hit & fresh_f & fresh_g or hit",
         "hit = hit",
         ("tests/test_span_sweep.py::test_walk_prefers_a_pair_new_to_both_walks",
          "tests/test_span_sweep.py::test_golden_digest"),
+    ),
+    Mutant(
+        # A byte under 32 then unpacks to fewer than six bits, and every
+        # later slot shifts.
+        "graph6-byte-bits-unpadded",
+        "io.py",
+        'format(val, "06b")',
+        'format(val, "b")',
+        ("tests/test_io.py::TestGraph6::test_matches_networkx",
+         "tests/test_io.py::TestGraph6::test_round_trip_all_classes_up_to_6"),
     ),
     Mutant(
         "cut-bound-max-for-min",
