@@ -18,11 +18,14 @@ sweep's format, a bitmask with bit ``u * n + v`` set for each member pair
 ``SpanReport.witness_component`` is its one pair view.
 
 Witnesses are greedy covering walks inside the winning component: from its
-smallest pair, repeatedly walk to the nearest member that adds a vertex
+pair with the smallest degree sum ``deg(u) + deg(v)`` (the smallest such
+pair on ties), repeatedly walk to the nearest member that adds a vertex
 missing from either walk, and among the nearest, first to one that adds a
-missing vertex to both walks (the greedy set-cover choice).  Only coverage
-matters, so the walks stay short: 399, 201 and 399 positions on P200 under
-the strong, direct and cartesian rules, whose strong-rule component has
+missing vertex to both walks (the greedy set-cover choice).  A low-degree
+start lies at the graph's ends, such as a path's leaves, so the walk need
+not double back to them.  Only coverage matters, so the walks stay short:
+200, 200 and 399 positions on P200 under the strong, direct and cartesian
+rules, however its vertices are labelled, whose strong-rule component has
 39,800 pairs.  No cap is needed: each leg adds a missing coordinate and is
 no longer than the component's diameter, so a walk on an order-n graph has
 at most ``1 + (2n - 2) * diam(C)`` positions for the component C.  The walk
@@ -145,8 +148,9 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     pointer lists of ``n * n`` slots, 24 bytes per pair index on a 64-bit
     build.  A set that goes under another root clears its masks, so only
     roots hold them; a lone pair off the diagonal holds none, and a merge
-    derives its masks.  Each joining pair is unioned with its live
-    rule-neighbours, which by symmetry unions its mirror with theirs.
+    ORs the pair's bit and its mirror's into the growing masks.  Each
+    joining pair is unioned with its live rule-neighbours, which by
+    symmetry unions its mirror with theirs.
     Neighbours already inside the growing component are skipped, so each
     neighbouring set costs one root lookup: one list read when the
     neighbour's parent is the root, path halving otherwise.  A component
@@ -212,12 +216,19 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                     # j is not in members, so it lies in the mirror image:
                     # the component meets its mirror, and they are one.
                     joined = True
+                elif not (o_members := members_of[other]):
+                    # A lone pair off the diagonal, j or its mirror image:
+                    # j joins members, its mirror joins mirror, and j's
+                    # coordinates join the cover.
+                    joined = members == mirror
+                    members_of[root] = mirror_of[root] = 0
+                    parent[root] = root = other
+                    a, b = divmod(j, n)
+                    members |= 1 << j
+                    mirror |= 1 << (b * n + a)
+                    cover |= 1 << a | 1 << (n + b)
                 else:
-                    o_members, o_mirror = members_of[other], mirror_of[other]
-                    if not o_members:  # a lone pair, whose masks are derived
-                        a, b = divmod(other, n)
-                        o_members, o_mirror = 1 << other, 1 << (b * n + a)
-                    o_cover = cover_of[other]
+                    o_mirror, o_cover = mirror_of[other], cover_of[other]
                     # Read before the masks below are ORed together.
                     joined = members == mirror or o_members == o_mirror
                     # The growing set goes under the neighbour's root.
@@ -259,10 +270,14 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
     """Concrete walks for both actors realising the reported span.
 
     A greedy covering walk that never leaves the witness component.  It
-    starts at the component's smallest pair.  While a vertex is missing
-    from either walk, the breadth-first levels from the walk's end inside
-    the members are read up to the first level holding a pair that adds a
-    missing f- or g-coordinate.  The target is the smallest pair there that
+    starts at the member pair with the smallest degree sum ``deg(u) +
+    deg(v)``, the smallest pair index on ties: the first of the pair
+    space's degree-sum masks, in ascending order of sum, that meets the
+    members holds it, so the start costs one AND per distinct sum and no
+    scan of the members.  While a vertex is missing from either walk, the
+    breadth-first levels from the walk's end inside the members are read up
+    to the first level holding a pair that adds a missing f- or
+    g-coordinate.  The target is the smallest pair there that
     adds both a missing f- and a missing g-coordinate, or the smallest that
     adds one if none adds both: coverage first, as in greedy set cover.
     Under the cartesian rule none adds both, since each pair of that level
@@ -291,7 +306,11 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
 
     n = report.graph.n
     step = pair_neighbors(report.graph, report.rule)
-    root = (members & -members).bit_length() - 1
+    for mask in _pair_space(report.graph).degree_sums:
+        start = members & mask
+        if start:
+            break
+    root = (start & -start).bit_length() - 1
 
     # Bit u * n + v of ``fresh_f`` (``fresh_g``) is set while vertex u (v)
     # is still missing from the f-walk (g-walk).

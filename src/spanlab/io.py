@@ -152,7 +152,9 @@ def emit_graph6(g: Graph) -> str:
     long form (``~`` and three 6-bit bytes) from 63."""
     n = g.n
     masks = g._masks
-    bits = "".join("1" if masks[v] >> u & 1 else "0" for u, v in _slots(n))
+    # Column v holds the slots (0, v) .. (v - 1, v), the low v bits of
+    # v's neighbour mask read from bit 0 up, as ``_slots`` orders them.
+    bits = "".join(format(masks[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
     bits += "0" * (-len(bits) % 6)
     # The long form's first byte, 63 + 63, is "~".
     size = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]

@@ -132,6 +132,10 @@ class _PairSpace(NamedTuple):
     # bit u * n set.
     closed: tuple[int, ...]
     closed_spread: tuple[int, ...]
+    # The pair indices grouped by degree sum deg(u) + deg(v), one mask per
+    # sum that occurs, in ascending order of sum: the walks' start table.
+    # Each pair lies in exactly one mask.
+    degree_sums: tuple[int, ...]
 
 
 def _pair_space(g: Graph) -> _PairSpace:
@@ -139,7 +143,9 @@ def _pair_space(g: Graph) -> _PairSpace:
 
     It stays with the graph until ``verify.check_graph`` drops it.  On
     K30,30 it holds 1,830 bucketed pair indices, 60 spread masks and 60
-    closed spread masks of 3,600 bits, and 60 closed masks, about 119 KB.
+    closed spread masks of 3,600 bits, 60 closed masks, and one degree-sum
+    mask of 3,600 bits (every degree is 30), about 119 KB.  The degree-sum
+    masks hold n * n bits between them, on any graph.
     """
     space = g._pairs
     if space is None:
@@ -154,8 +160,25 @@ def _pair_space(g: Graph) -> _PairSpace:
         spread = tuple(sum(1 << (w * n) for w in row) for row in g._adj)
         closed = tuple(m | 1 << v for v, m in enumerate(g._masks))
         closed_spread = tuple(s | 1 << (u * n) for u, s in enumerate(spread))
+        # Per degree d, rows[d] has bit u * n and columns[d] bit u for each
+        # vertex u of degree d.  rows[a] * columns[b] sets exactly the pairs
+        # of degrees a and b, with no carries, as ``spread`` does.
+        rows = [0] * n
+        columns = [0] * n
+        for u, row in enumerate(g._adj):
+            rows[len(row)] |= 1 << (u * n)
+            columns[len(row)] |= 1 << u
+        present = [d for d in range(n) if columns[d]]
+        sums = [0] * (2 * n)
+        for a in present:
+            for b in present:
+                sums[a + b] |= rows[a] * columns[b]
         space = g._pairs = _PairSpace(
-            tuple(map(tuple, buckets)), spread, closed, closed_spread
+            tuple(map(tuple, buckets)),
+            spread,
+            closed,
+            closed_spread,
+            tuple(filter(None, sums)),
         )
     return space
 

@@ -198,87 +198,88 @@ FIG1_DOT_HEAD = """digraph witness {
 FIG1_WITNESS = {
     "strong": (
         """step alice   bob distance
-   1     0     2        2
+   1     0     4        2
    2     1     5        2
    3     2     0        2
    4     5     1        2
-   5     0     3        2
-   6     0     4        2
-   7     1     5        2
-   8     3     0        2
-   9     4     0        2
+   5     4     2        2
+   6     3     5        2
+   7     1     4        2
+   8     0     3        2
 """,
         """  0 -> 1 [color=red, label="f1"];
   1 -> 2 [color=red, label="f2"];
   2 -> 5 [color=red, label="f3"];
-  5 -> 0 [color=red, label="f4"];
-  0 -> 1 [color=red, label="f6"];
-  1 -> 3 [color=red, label="f7"];
-  3 -> 4 [color=red, label="f8"];
-  2 -> 5 [color=blue, label="g1"];
+  5 -> 4 [color=red, label="f4"];
+  4 -> 3 [color=red, label="f5"];
+  3 -> 1 [color=red, label="f6"];
+  1 -> 0 [color=red, label="f7"];
+  4 -> 5 [color=blue, label="g1"];
   5 -> 0 [color=blue, label="g2"];
   0 -> 1 [color=blue, label="g3"];
-  1 -> 3 [color=blue, label="g4"];
-  3 -> 4 [color=blue, label="g5"];
-  4 -> 5 [color=blue, label="g6"];
-  5 -> 0 [color=blue, label="g7"];
+  1 -> 2 [color=blue, label="g4"];
+  2 -> 5 [color=blue, label="g5"];
+  5 -> 4 [color=blue, label="g6"];
+  4 -> 3 [color=blue, label="g7"];
 }
 """,
     ),
     "direct": (
         """step alice   bob distance
-   1     0     2        2
+   1     0     4        2
    2     1     5        2
    3     2     0        2
    4     5     1        2
-   5     0     3        2
-   6     1     4        2
-   7     3     5        2
-   8     4     0        2
+   5     4     2        2
+   6     3     5        2
+   7     1     4        2
+   8     0     3        2
 """,
         """  0 -> 1 [color=red, label="f1"];
   1 -> 2 [color=red, label="f2"];
   2 -> 5 [color=red, label="f3"];
-  5 -> 0 [color=red, label="f4"];
-  0 -> 1 [color=red, label="f5"];
-  1 -> 3 [color=red, label="f6"];
-  3 -> 4 [color=red, label="f7"];
-  2 -> 5 [color=blue, label="g1"];
+  5 -> 4 [color=red, label="f4"];
+  4 -> 3 [color=red, label="f5"];
+  3 -> 1 [color=red, label="f6"];
+  1 -> 0 [color=red, label="f7"];
+  4 -> 5 [color=blue, label="g1"];
   5 -> 0 [color=blue, label="g2"];
   0 -> 1 [color=blue, label="g3"];
-  1 -> 3 [color=blue, label="g4"];
-  3 -> 4 [color=blue, label="g5"];
-  4 -> 5 [color=blue, label="g6"];
-  5 -> 0 [color=blue, label="g7"];
+  1 -> 2 [color=blue, label="g4"];
+  2 -> 5 [color=blue, label="g5"];
+  5 -> 4 [color=blue, label="g6"];
+  4 -> 3 [color=blue, label="g7"];
 }
 """,
     ),
     "cartesian": (
         """step alice   bob distance
-   1     0     2        2
+   1     0     4        2
    2     0     3        2
-   3     0     4        2
-   4     1     4        2
-   5     1     5        2
-   6     3     5        2
-   7     3     0        2
-   8     2     0        2
+   3     0     2        2
+   4     0     3        2
+   5     5     3        2
+   6     5     1        2
+   7     4     1        2
+   8     4     0        2
    9     3     0        2
-  10     4     0        2
-  11     4     1        2
-  12     5     1        2
+  10     2     0        2
+  11     3     0        2
+  12     3     5        2
+  13     1     5        2
 """,
-        """  0 -> 1 [color=red, label="f3"];
-  1 -> 3 [color=red, label="f5"];
-  3 -> 2 [color=red, label="f7"];
-  2 -> 3 [color=red, label="f8"];
-  3 -> 4 [color=red, label="f9"];
-  4 -> 5 [color=red, label="f11"];
-  2 -> 3 [color=blue, label="g1"];
-  3 -> 4 [color=blue, label="g2"];
-  4 -> 5 [color=blue, label="g4"];
-  5 -> 0 [color=blue, label="g6"];
-  0 -> 1 [color=blue, label="g10"];
+        """  0 -> 5 [color=red, label="f4"];
+  5 -> 4 [color=red, label="f6"];
+  4 -> 3 [color=red, label="f8"];
+  3 -> 2 [color=red, label="f9"];
+  2 -> 3 [color=red, label="f10"];
+  3 -> 1 [color=red, label="f12"];
+  4 -> 3 [color=blue, label="g1"];
+  3 -> 2 [color=blue, label="g2"];
+  2 -> 3 [color=blue, label="g3"];
+  3 -> 1 [color=blue, label="g5"];
+  1 -> 0 [color=blue, label="g7"];
+  0 -> 5 [color=blue, label="g11"];
 }
 """,
     ),

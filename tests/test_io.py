@@ -183,6 +183,19 @@ class TestGraph6:
         assert emit_peak < 2 << 20
         assert parse_peak < 1.2 * build_peak
 
+    def test_emit_joins_one_string_per_column(self):
+        # P2000's 1,999,000 slots make a 2 MB bit string, joined from 1,999
+        # column strings: about 5 MB traced at the peak.  Joining one string
+        # per slot held a list of 1,999,000 pointers too, 19 MB.
+        g = path_graph(2000)
+        tracemalloc.start()
+        try:
+            emit_graph6(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
 
 FIG1_WALKS = TrackPair(f=(3, 4, 5, 0, 1, 2), g=(0, 1, 3, 2, 5, 4), rule=MovementRule.ACTIVE)
 

@@ -234,7 +234,9 @@ def reference_pair_space(g):
     """The pair space's tables from scratch: buckets of ``u <= v`` pairs by
     ``min(d(u, v), radius)``; for each vertex u the mask with bit ``w * n``
     set for each neighbour w; and the same two masks over u's closed
-    neighbourhood, with bits w and ``w * n``."""
+    neighbourhood, with bits w and ``w * n``; and, for each degree sum
+    that occurs, ascending, the mask of the pairs ``(u, v)`` with
+    ``deg(u) + deg(v)`` equal to it."""
     n = g.n
     d = floyd_warshall(g)
     top = min(max(row) for row in d)
@@ -244,11 +246,17 @@ def reference_pair_space(g):
             buckets[min(d[u][v], top)].append(u * n + v)
     spread = [sum(1 << (w * n) for w in range(n) if g.has_edge(u, w)) for u in range(n)]
     closed = [[w for w in range(n) if w == u or g.has_edge(u, w)] for u in range(n)]
+    degree_sums = {}
+    for u in range(n):
+        for v in range(n):
+            s = g.degree(u) + g.degree(v)
+            degree_sums[s] = degree_sums.get(s, 0) | 1 << (u * n + v)
     return (
         buckets,
         spread,
         [sum(1 << w for w in ws) for ws in closed],
         [sum(1 << (w * n) for w in ws) for ws in closed],
+        [degree_sums[s] for s in sorted(degree_sums)],
     )
 
 

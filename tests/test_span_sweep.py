@@ -62,16 +62,18 @@ def reference_span(g, rule: MovementRule) -> SpanReport:
 def reference_greedy(pg, component) -> list:
     """Nearest-first covering walk through the pair graph's own adjacency.
 
-    From the smallest pair, search breadth-first inside the component for
-    the nearest level holding a pair that adds an unvisited coordinate.
+    From the pair with the smallest degree sum ``deg(u) + deg(v)``, the
+    smallest such pair on ties, search breadth-first inside the component
+    for the nearest level holding a pair that adds an unvisited coordinate.
     Take the smallest pair there that adds an unvisited coordinate to both
     walks, or the smallest that adds one if none does, trace back through
     the levels by the smallest adjacent member, and repeat until both
     coordinates cover every vertex.
     """
     n = pg.base.n
+    deg = pg.base.degree
     members = set(component)
-    walk = [component[0]]
+    walk = [min(component, key=lambda p: (deg(p[0]) + deg(p[1]), p))]
     seen_f, seen_g = {walk[0][0]}, {walk[0][1]}
     while len(seen_f) < n or len(seen_g) < n:
         levels = [{walk[-1]}]
@@ -172,8 +174,10 @@ def test_sweep_matches_descent_on_relabelled_random_graphs(g, seed):
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
 def test_members_mask_is_the_walked_component(rule):
     # ``members`` is the one stored form of the winning component: its pair
-    # view and the walk's start read the same bits.  That ``members`` is
-    # the reference descent's is ``test_sweep_matches_per_threshold_descent``.
+    # view and the walk's start read the same bits, and the walk starts at
+    # the member with the smallest degree sum, the smallest such on ties.
+    # That ``members`` is the reference descent's is
+    # ``test_sweep_matches_per_threshold_descent``.
     mismatches = []
     for corpus in sorted(CORPORA):
         for g in CORPORA[corpus]():
@@ -181,9 +185,12 @@ def test_members_mask_is_the_walked_component(rule):
             members = report.members
             tracks = extract_witness_tracks(report)
             start = tracks.f[0] * g.n + tracks.g[0]
+            first = min(
+                _bits(members), key=lambda i: (g.degree(i // g.n) + g.degree(i % g.n), i)
+            )
             if not (
                 report.witness_component == tuple(divmod(i, g.n) for i in _bits(members))
-                and members & -members == 1 << start
+                and start == first
             ):
                 mismatches.append(f"{corpus}: {g.edges()}")
     assert mismatches == []
@@ -232,11 +239,12 @@ def test_lone_pairs_hold_no_masks():
     assert (result.returncode, result.stdout) == (0, "1\n"), result.stderr
 
 
-# Nearest-first exploration of this 10-vertex graph from vertex 0 leaves
-# the leaves 4 and 9, at opposite ends, for last: 21 positions, more than
-# the 2 * 10 - 1 = 19 of a closed walk round a spanning tree.
+# Nearest-first exploration of this 11-vertex graph from its leaf 0, the
+# smallest vertex of the smallest degree, leaves the leaves 5 and 10, at
+# opposite ends, for last: 22 positions, more than the 2 * 11 - 1 = 21 of
+# a closed walk round a spanning tree.
 LONG_WALK_EDGES = [
-    (0, 2), (0, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 8), (3, 8), (5, 6), (5, 9),
+    (0, 1), (1, 3), (1, 5), (2, 6), (2, 7), (2, 8), (2, 9), (3, 9), (4, 9), (6, 7), (6, 10),
 ]
 
 
@@ -245,7 +253,7 @@ def diagonal_report(rule: MovementRule) -> SpanReport:
     ``LONG_WALK_EDGES`` graph.  There both actors move as one, and every
     pair adds a new coordinate until it is visited, so the greedy walk is
     nearest-first exploration of the base graph."""
-    g = Graph(10, LONG_WALK_EDGES)
+    g = Graph(11, LONG_WALK_EDGES)
     return SpanReport(g, rule, 0, sum(1 << (u * g.n + u) for u in range(g.n)))
 
 
@@ -257,7 +265,7 @@ def test_long_greedy_walk_is_returned_as_is(rule):
     component = report.witness_component
     assert component == tuple((u, u) for u in range(g.n))
     walk = reference_greedy(build_pair_graph(g, rule, 0), component)
-    assert len(walk) == 21 > 2 * len(component) - 1
+    assert len(walk) == 22 > 2 * len(component) - 1
 
     tracks = extract_witness_tracks(report)
     assert tracks == as_tracks(walk, rule)
@@ -316,28 +324,29 @@ def test_winner_is_chosen_over_its_mirror_image():
 
 
 def test_walk_prefers_a_pair_new_to_both_walks():
-    # fig1's strong-rule walk starts at (0, 2).  One step away lie (0, 3),
-    # new to Bob's walk only, and (1, 5), new to both; the walk takes (1, 5)
-    # although (0, 3) has the smaller pair index.
+    # fig1's strong-rule walk starts at (0, 4), the member with the smallest
+    # degree sum, 2 + 2.  One step away lie (0, 3), new to Bob's walk only,
+    # and (1, 5), new to both; the walk takes (1, 5) although (0, 3) has the
+    # smaller pair index.
     g = named_graph("fig1")
     rule = MovementRule.TRADITIONAL
     report = compute_span(g, rule)
-    near = [divmod(i, g.n) for i in _bits(pair_neighbors(g, rule)(0 * g.n + 2) & report.members)]
+    near = [divmod(i, g.n) for i in _bits(pair_neighbors(g, rule)(0 * g.n + 4) & report.members)]
     assert (0, 3) in near and (1, 5) in near
     tracks = extract_witness_tracks(report)
-    assert list(zip(tracks.f, tracks.g))[:2] == [(0, 2), (1, 5)]
+    assert list(zip(tracks.f, tracks.g))[:2] == [(0, 4), (1, 5)]
 
 
 # SHA-256 of every (edges, rule, span, members, f, g) below.  A change that
 # moves any span, winning component or witness walk, even to an equally
 # valid one, changes it, and must then update it on purpose.
-GOLDEN_DIGEST = "a8ba1bd81d3228d3a308620a5e1982b305214cd76c8c20e1434b9f0e42f3cd9c"
+GOLDEN_DIGEST = "3394c58d59b26300ef6f5eb282bb0848cc94996d6bea3ffc325d7d6ab0e7bf54"
 
 # Walk positions summed over the same graphs, per rule, so that a heuristic
 # that covers worse shows as a count.  Under the cartesian rule no target is
 # new to both walks: each pair of the nearest level holding a new vertex is
 # one actor's move from a pair both walks have visited.
-WALK_POSITIONS = {"traditional": 5762, "active": 5542, "lazy": 9260}
+WALK_POSITIONS = {"traditional": 5159, "active": 4974, "lazy": 8208}
 
 
 def golden_graphs() -> list[Graph]:

@@ -134,6 +134,24 @@ MUTANTS = (
          "tests/test_cli.py::TestWitness::test_k1_single_row"),
     ),
     Mutant(
+        "walk-starts-at-smallest-member",
+        "engine.py",
+        "root = (start & -start).bit_length() - 1",
+        "root = (members & -members).bit_length() - 1",
+        ("tests/test_span_sweep.py::test_members_mask_is_the_walked_component",
+         "tests/test_span_sweep.py::test_golden_digest"),
+    ),
+    Mutant(
+        # The walk then starts at a member with the largest degree sum.
+        "degree-sums-descending",
+        "product.py",
+        "tuple(filter(None, sums))",
+        "tuple(filter(None, sums[::-1]))",
+        ("tests/test_product.py::TestPairSpace::test_shared_tables_are_exact_and_read_only",
+         "tests/test_shortest_walks.py::test_even_path_walks_are_pinned_under_any_labelling",
+         "tests/test_span_sweep.py::test_golden_digest"),
+    ),
+    Mutant(
         "walk-without-both-preference",
         "engine.py",
         "hit = hit & fresh_f & fresh_g or hit",
