@@ -49,7 +49,6 @@ from .io import (
 )
 from .product import MovementRule
 from .verify import (
-    EnumerationReport,
     GraphRecord,
     check_graph,
     check_theorems,

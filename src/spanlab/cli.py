@@ -117,28 +117,34 @@ def _cmd_families(args: argparse.Namespace) -> int:
 
 
 def _sweep(draw: Callable[[], Iterable[Graph]], args: argparse.Namespace) -> int:
-    """Check the corpus ``draw()`` yields and print its summary.  A bad
-    corpus parameter (a ValueError) exits 2.  The corpus is drawn before
-    the records file is opened, and the file before the sweep runs."""
+    """Check the corpus ``draw()`` returns, writing each record as it comes,
+    then print the summary.  A bad corpus option raises at ``draw()``,
+    before the records file is opened.  A ValueError exits 2: one raised
+    by a draw partway through comes after the records written so far."""
     try:
-        corpus = list(draw())
+        corpus = draw()
+        try:
+            records = open(args.records, "w", encoding="utf-8") if args.records else None
+        except OSError as exc:
+            raise _Exit(2, f"cannot write {args.records}: {exc}") from exc
+        checked, bad, positives = 0, [], []
+        with records or nullcontext():
+            for record in verify.check_theorems(
+                corpus, jobs=args.jobs, check_witnesses=args.witnesses
+            ):
+                checked += 1
+                bad += [f"counterexample: {record.graph6} violates {v}" for v in record.violations]
+                if record.cartesian_gt_direct:
+                    positives.append(f"cartesian>direct: {record.graph6}")
+                if records is not None:
+                    records.write(record.to_line() + "\n")
     except ValueError as exc:
         raise _Exit(2, str(exc)) from exc
-    try:
-        records = open(args.records, "w", encoding="utf-8") if args.records else None
-    except OSError as exc:
-        raise _Exit(2, f"cannot write {args.records}: {exc}") from exc
-    with records or nullcontext():
-        report = verify.check_theorems(
-            corpus, jobs=args.jobs, check_witnesses=args.witnesses
-        )
-        for line in report.summary_lines():
-            print(line)
-        if records is not None:
-            # One terminated line per record: an empty corpus leaves an
-            # empty file, not a blank line.
-            records.writelines(line + "\n" for line in report.record_lines())
-    return 1 if report.counterexamples else 0
+    print(f"graphs checked: {checked}")
+    print(f"{len(bad)} counterexamples; {len(positives)} graphs with cartesian>direct")
+    for line in bad + positives:
+        print(line)
+    return 1 if bad else 0
 
 
 def _cmd_verify_enumerate(args: argparse.Namespace) -> int:
@@ -239,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_families)
 
     def add_verify(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", type=int, default=None, help="worker processes, held to 1..min(CPU count, graphs); 1 forces sequential")
+        p.add_argument("--jobs", type=int, default=None, help="worker processes, held to 1..CPU count; 1 forces sequential")
         p.add_argument("--witnesses", action="store_true", help="also check witness extraction and transformations")
         p.add_argument("--records", metavar="FILE", help="write one key=value record per graph")
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # direct_to_lazy and lazy_to_direct are not used here; they are re-exported
 # because the benchmark's tracer looks them up through this module.
@@ -171,7 +171,8 @@ def enumerate_connected(n: int, dedup: bool = False) -> Iterator[Graph]:
 
     With ``dedup`` only the lexicographically smallest labelled graph of
     each isomorphism class is yielded (permutation canonicalisation, so
-    dedup is capped at n <= 6; plain enumeration at n <= 7).
+    dedup is capped at n <= 6; plain enumeration at n <= 7).  A bad ``n``
+    raises at the call, before the first graph is drawn.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -179,6 +180,10 @@ def enumerate_connected(n: int, dedup: bool = False) -> Iterator[Graph]:
         raise TooLargeError(f"enumeration caps at n <= {ENUMERATE_MAX_N}, got {n}")
     if dedup and n > DEDUP_MAX_N:
         raise TooLargeError(f"dedup enumeration caps at n <= {DEDUP_MAX_N}, got {n}")
+    return _connected(n, dedup)
+
+
+def _connected(n: int, dedup: bool) -> Iterator[Graph]:
     slots = list(_slots(n))
     perm_maps = _perm_slot_maps(n) if dedup else ()
     for mask in range(1 << len(slots)):
@@ -209,12 +214,13 @@ def random_graphs(
     resampled forever.  A positive but tiny ``edge_prob`` can make a
     connected draw just as unlikely.  A draw flips one coin per vertex
     pair, so each graph gets as many draws as ``RANDOM_MAX_FLIPS`` flips
-    allow, at least one and at most ``RANDOM_MAX_ATTEMPTS``, and
-    ``ValueError`` is raised after that: a graph that cannot be drawn costs
-    about ``RANDOM_MAX_FLIPS`` flips at most, at any order.
-    An ``n_range`` reaching over ``graph.MAX_ORDER`` raises ``TooLargeError``
-    before the first draw, which would otherwise build a quadratic edge list
-    that ``Graph`` then refuses.
+    allow, at least one and at most ``RANDOM_MAX_ATTEMPTS``, and the stream
+    raises ``ValueError`` at the graph that runs out of them: a graph that
+    cannot be drawn costs about ``RANDOM_MAX_FLIPS`` flips at most, at any
+    order.  The options are checked at the call, before the first draw, and
+    an ``n_range`` reaching over ``graph.MAX_ORDER`` raises
+    ``TooLargeError`` there: a draw of that order would otherwise build a
+    quadratic edge list that ``Graph`` then refuses.
     """
     lo, hi = n_range
     if count < 0:
@@ -225,6 +231,10 @@ def random_graphs(
         raise ValueError(f"edge probability must lie in (0, 1], got {edge_prob}")
     if hi > MAX_ORDER:
         raise TooLargeError(f"order {hi} is over {MAX_ORDER}, the order cap")
+    return _draws(count, lo, hi, edge_prob, seed)
+
+
+def _draws(count: int, lo: int, hi: int, edge_prob: float, seed: int) -> Iterator[Graph]:
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(lo, hi)
@@ -309,40 +319,6 @@ class GraphRecord:
             f" strong={self.strong} direct={self.direct} cartesian={self.cartesian}"
             f" cut_bound={cut} oracle={oracle} ok={int(self.ok)} violations={bad}"
         )
-
-
-@dataclass
-class EnumerationReport:
-    """Aggregate of a corpus sweep; counterexamples stay empty when the
-    theorems hold."""
-
-    records: list[GraphRecord]
-
-    @property
-    def graphs_checked(self) -> int:
-        return len(self.records)
-
-    @property
-    def counterexamples(self) -> list[tuple[str, str]]:
-        """(graph6, violated property) pairs, in record order."""
-        return [(r.graph6, prop) for r in self.records for prop in r.violations]
-
-    @property
-    def cartesian_gt_direct(self) -> list[GraphRecord]:
-        return [r for r in self.records if r.cartesian_gt_direct]
-
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"graphs checked: {self.graphs_checked}",
-            f"{len(self.counterexamples)} counterexamples;"
-            f" {len(self.cartesian_gt_direct)} graphs with cartesian>direct",
-        ]
-        lines += [f"counterexample: {g6} violates {prop}" for g6, prop in self.counterexamples]
-        lines += [f"cartesian>direct: {r.graph6}" for r in self.cartesian_gt_direct]
-        return lines
-
-    def record_lines(self) -> list[str]:
-        return [r.to_line() for r in self.records]
 
 
 def check_graph(
@@ -435,13 +411,13 @@ def _witness_holds(val: TrackValidation, floor: int, exact: bool = False) -> boo
     )
 
 
-def clamp_jobs(jobs: int, cpus: int, corpus_size: int) -> int:
-    """Worker count for a sweep: ``jobs`` held to ``[1, min(cpus, corpus_size)]``.
+def clamp_jobs(jobs: int, cpus: int) -> int:
+    """Worker count for a sweep: ``jobs`` held to ``[1, cpus]``.
 
-    More workers than CPUs only contend, more than graphs only idle, and a
-    count below 1 means the sequential path.
+    More workers than CPUs only contend, and a count below 1 means the
+    sequential path.
     """
-    return max(1, min(jobs, cpus, corpus_size))
+    return max(1, min(jobs, cpus))
 
 
 def check_theorems(
@@ -449,24 +425,29 @@ def check_theorems(
     jobs: int | None = None,
     check_witnesses: bool = False,
     oracle_max_n: int = 5,
-) -> EnumerationReport:
-    """Sweep a corpus; the merge is ordered, so output is independent of ``jobs``.
+) -> Iterator[GraphRecord]:
+    """An iterator of one ``GraphRecord`` per graph, in corpus order
+    whatever ``jobs`` is; neither the corpus nor the records are held.
 
     ``jobs`` defaults to the CPU count and is clamped by ``clamp_jobs``.  One
-    worker checks the graphs in this process; more get the pickled graphs
-    through a fork pool.  An ``oracle_max_n`` over ``ORACLE_MAX_N`` raises
-    ``ValueError`` before any graph is checked.
+    worker checks each graph in this process as it is drawn; more get the
+    pickled graphs through a fork pool, which draws a bounded number of
+    graphs ahead of the last record.  An ``oracle_max_n`` over
+    ``ORACLE_MAX_N`` raises ``ValueError`` at the call.
     """
     _check_oracle_max_n(oracle_max_n)
-    corpus = list(corpus)
+    check = partial(check_graph, check_witnesses=check_witnesses, oracle_max_n=oracle_max_n)
     cpus = os.cpu_count() or 1
-    workers = clamp_jobs(cpus if jobs is None else jobs, cpus, len(corpus))
+    workers = clamp_jobs(cpus if jobs is None else jobs, cpus)
     if workers == 1:
-        return EnumerationReport(
-            [check_graph(g, check_witnesses, oracle_max_n) for g in corpus]
-        )
+        return map(check, corpus)
+    return _pooled(check, corpus, workers)
+
+
+def _pooled(
+    check: Callable[[Graph], GraphRecord], corpus: Iterable[Graph], workers: int
+) -> Iterator[GraphRecord]:
     import multiprocessing as mp
 
-    check = partial(check_graph, check_witnesses=check_witnesses, oracle_max_n=oracle_max_n)
     with mp.get_context("fork").Pool(workers) as pool:
-        return EnumerationReport(list(pool.imap(check, corpus, chunksize=64)))
+        yield from pool.imap(check, corpus, chunksize=64)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import resource
 import subprocess
 import sys
@@ -525,6 +526,58 @@ class TestVerifyCommands:
         monkeypatch.setattr(verify, "check_theorems", fail)
         err = assert_error(main([*command, "--records", str(tmp_path / target)]), 2, capsys)
         assert err.startswith("spanlab: cannot write")
+
+    def test_summary_lists_counterexamples_then_positives(self, monkeypatch, capsys):
+        # The counts come first, then each violation in record order, then
+        # each cartesian>direct graph; ExQ? is the one order-6 positive.
+        real = verify.check_graph
+        forced = {"Eka?": ("strong_ge_max", "cut_edge_bound"), "ExQ?": ("span_le_radius",)}
+
+        def check(*args, **kwargs):
+            record = real(*args, **kwargs)
+            return dataclasses.replace(record, violations=forced.get(record.graph6, ()))
+
+        monkeypatch.setattr(verify, "check_graph", check)
+        assert main(["verify-enumerate", "--n", "6", "--dedup", "--jobs", "1"]) == 1
+        assert capsys.readouterr().out == (
+            "graphs checked: 112\n"
+            "3 counterexamples; 1 graphs with cartesian>direct\n"
+            "counterexample: Eka? violates strong_ge_max\n"
+            "counterexample: Eka? violates cut_edge_bound\n"
+            "counterexample: ExQ? violates span_le_radius\n"
+            "cartesian>direct: ExQ?\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (["verify-random", "--count", "-3"], 2),
+            (["verify-random", "--n-min", "0"], 2),
+            (["verify-random", "--p", "0"], 2),
+            (["verify-random", "--n-max", "2049"], 4),
+            (["verify-enumerate", "--n", "0"], 2),
+            (["verify-enumerate", "--n", "9"], 4),
+            (["verify-enumerate", "--n", "7", "--dedup"], 4),
+        ],
+    )
+    def test_bad_corpus_option_leaves_records_file(self, command, code, tmp_path, capsys):
+        # The corpus options are checked before the records file is opened,
+        # so an earlier sweep's records survive.
+        records = tmp_path / "records.txt"
+        records.write_text("kept\n")
+        assert_error(main([*command, "--records", str(records)]), code, capsys)
+        assert records.read_text() == "kept\n"
+
+    def test_draw_that_gives_up_exits_2_after_the_records_so_far(self, tmp_path, capsys):
+        # Seed 2 draws three order-1 graphs, then an order-2 one that p = 1e-6
+        # does not connect in 10,000 draws.
+        records = tmp_path / "records.txt"
+        argv = ["verify-random", "--count", "20", "--seed", "2", "--n-min", "1", "--n-max", "2",
+                "--p", "1e-6", "--jobs", "1", "--records", str(records)]
+        err = assert_error(main(argv), 2, capsys)
+        assert "no connected graph of order 2 in 10000 draws" in err
+        k1 = "graph6=@ n=1 radius=0 strong=0 direct=0 cartesian=0 cut_bound=none oracle=agree"
+        assert records.read_text() == f"{k1} ok=1 violations=none\n" * 3
 
     def test_random_small(self, capsys):
         assert (

@@ -272,10 +272,10 @@ class TestCutEdgeBound:
 class TestCheckTheorems:
     def test_small_corpus_clean(self):
         corpus = [g for n in range(1, 5) for g in enumerate_connected(n)]
-        report = check_theorems(corpus, jobs=1, check_witnesses=True)
-        assert report.graphs_checked == len(corpus)
-        assert report.counterexamples == []
-        assert report.cartesian_gt_direct == []
+        records = list(check_theorems(corpus, jobs=1, check_witnesses=True))
+        assert len(records) == len(corpus)
+        assert [r.violations for r in records] == [()] * len(corpus)
+        assert not any(r.cartesian_gt_direct for r in records)
 
     def test_paramecium3_record(self):
         record = check_graph(paramecium_graph(3), check_witnesses=True)
@@ -287,7 +287,7 @@ class TestCheckTheorems:
     def test_checked_graph_drops_its_pair_space(self):
         # A held corpus must not keep every checked graph's pair tables.
         corpus = [paramecium_graph(3), cycle_graph(5)]
-        check_theorems(corpus, jobs=1, check_witnesses=True)
+        list(check_theorems(corpus, jobs=1, check_witnesses=True))
         assert [g._pairs for g in corpus] == [None, None]
 
     def test_record_line_shape(self):
@@ -297,11 +297,6 @@ class TestCheckTheorems:
         for key in ("radius=", "strong=", "direct=", "cartesian=", "cut_bound=", "ok="):
             assert key in line
 
-    def test_summary_mentions_counts(self):
-        report = check_theorems(list(enumerate_connected(3)), jobs=1)
-        text = "\n".join(report.summary_lines())
-        assert "0 counterexamples; 0 graphs with cartesian>direct" in text
-
     def test_order7_atlas_against_oracle(self):
         # networkx's atlas holds one graph per isomorphism class; its 853
         # connected order-7 classes are checked against the oracle directly.
@@ -310,13 +305,13 @@ class TestCheckTheorems:
             for a in nx.graph_atlas_g()
             if a.number_of_nodes() == 7 and nx.is_connected(a)
         ]
-        report = check_theorems(corpus, jobs=1, check_witnesses=True, oracle_max_n=7)
-        assert report.graphs_checked == 853
-        assert all(r.oracle_checked for r in report.records)
-        assert report.counterexamples == []
+        records = list(check_theorems(corpus, jobs=1, check_witnesses=True, oracle_max_n=7))
+        assert len(records) == 853
+        assert all(r.oracle_checked for r in records)
+        assert [r for r in records if r.violations] == []
         # The order-7 counts quoted in the README.
-        assert len(report.cartesian_gt_direct) == 11
-        cut = [r for r in report.records if r.cut_bound is not None]
+        assert sum(r.cartesian_gt_direct for r in records) == 11
+        cut = [r for r in records if r.cut_bound is not None]
         assert len(cut) == 351
         assert sum(r.strong == r.cut_bound for r in cut) == 215
 
@@ -373,8 +368,8 @@ class TestCheckTheorems:
         monkeypatch.setattr(verify, "extract_witness_tracks", extract)
         want = (f"witness_roundtrip_{rule.value}",)
         assert check_graph(g, check_witnesses=True).violations == want
-        report = check_theorems([g], jobs=1, check_witnesses=True)
-        assert report.counterexamples == [(emit_graph6(g), want[0])]
+        records = list(check_theorems([g], jobs=1, check_witnesses=True))
+        assert [(r.graph6, r.violations) for r in records] == [(emit_graph6(g), want)]
 
     def test_each_witness_is_validated_once(self, monkeypatch):
         # One validation per rule's witness and one per transformed witness:
@@ -403,20 +398,44 @@ class TestCheckTheorems:
             lazy_to_direct(g, TrackPair(active.f, active.g, L))
 
     def test_parallel_matches_sequential(self):
-        # A one-graph corpus gets one worker at jobs=2, in this process.
         full = list(enumerate_connected(4))
-        for corpus in (full, full[:1]):
+        for corpus in (full, full[:1], []):
             for witnesses in (False, True):
                 seq = check_theorems(corpus, jobs=1, check_witnesses=witnesses)
                 par = check_theorems(corpus, jobs=2, check_witnesses=witnesses)
-                assert [r.to_line() for r in seq.records] == [r.to_line() for r in par.records]
+                assert [r.to_line() for r in seq] == [r.to_line() for r in par]
+
+
+def _logged(corpus, drawn):
+    """``corpus``, appending each graph's graph6 string to ``drawn`` as the
+    sweep draws it."""
+    for g in corpus:
+        drawn.append(emit_graph6(g))
+        yield g
+
+
+class TestStreaming:
+    def test_one_worker_checks_each_graph_before_the_next_draw(self):
+        drawn = []
+        corpus = _logged(itertools.islice(enumerate_connected(6), 300), drawn)
+        for k, record in enumerate(check_theorems(corpus, jobs=1)):
+            assert drawn[k:] == [record.graph6]
+        assert len(drawn) == 300
+
+    def test_pool_draws_a_bounded_number_ahead(self):
+        # The pool draws what the pipe to its workers holds, 575-767 of these
+        # order-6 graphs (ten-odd chunks of 64) in runs on two CPUs, one of
+        # them under load; a sweep that lists its corpus draws all 3,000 first.
+        drawn = []
+        corpus = _logged(itertools.islice(enumerate_connected(6), 3000), drawn)
+        ahead = []
+        for k, record in enumerate(check_theorems(corpus, jobs=2), start=1):
+            assert record.graph6 == drawn[k - 1]
+            ahead.append(len(drawn) - k)
+        assert len(ahead) == 3000 and max(ahead) < 1500
 
 
 class TestClampJobs:
     @pytest.mark.parametrize("jobs, expected", [(0, 1), (-3, 1), (1, 1), (2, 2), (10**9, 4)])
     def test_held_between_one_and_cpu_count(self, jobs, expected):
-        assert clamp_jobs(jobs, cpus=4, corpus_size=100) == expected
-
-    def test_corpus_size_caps_workers(self):
-        assert clamp_jobs(8, cpus=16, corpus_size=3) == 3
-        assert clamp_jobs(8, cpus=16, corpus_size=0) == 1
+        assert clamp_jobs(jobs, cpus=4) == expected

@@ -199,11 +199,21 @@ MUTANTS = (
         ("tests/test_verify.py::TestCheckTheorems::test_checked_graph_drops_its_pair_space",),
     ),
     Mutant(
-        "records-blank-line",
+        # The records then run together on one line.
+        "records-line-unterminated",
         "cli.py",
-        'records.writelines(line + "\\n" for line in report.record_lines())',
-        'records.write("\\n".join(report.record_lines()) + "\\n")',
-        ("tests/test_cli.py::TestVerifyCommands::test_empty_sweep_writes_empty_records_file",),
+        'records.write(record.to_line() + "\\n")',
+        "records.write(record.to_line())",
+        ("tests/test_cli.py::TestVerifyCommands::test_records_file",),
+    ),
+    Mutant(
+        # The sweep then holds every record before the first reaches the
+        # caller, and draws the whole corpus first.
+        "records-listed-before-return",
+        "verify.py",
+        "return map(check, corpus)",
+        "return iter(list(map(check, corpus)))",
+        ("tests/test_verify.py::TestStreaming::test_one_worker_checks_each_graph_before_the_next_draw",),
     ),
     Mutant(
         "spread-as-list",
