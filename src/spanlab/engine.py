@@ -8,7 +8,10 @@ closer than ``r``; conversely any pair of covering walks traces such a
 component.  A covering component at ``r`` lies inside one at ``r - 1``, so
 the span is found by one union-find sweep that adds pairs from the radius
 down and stops at the first threshold where a component covers both
-coordinates; no pair graph is built.  Swapping the actors, ``(u, v) ->
+coordinates; no pair graph is built.  The sweep starts with one
+breadth-first flood at the radius, from the smallest pair at distance >=
+radius: if that pair's component covers, it is the winner, and no pair is
+joined one at a time.  Swapping the actors, ``(u, v) ->
 (v, u)``, maps the pair graph onto itself under every rule, so it maps each
 component to a component, its mirror image.  The sweep joins only the pairs
 with ``u <= v`` and keeps each component's mirror image beside it, which
@@ -138,6 +141,18 @@ class MoveAttribution:
 def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     """Span of ``g`` under ``rule``, by one descending union-find sweep.
 
+    The sweep starts with a flood: the component C at the radius of the
+    top bucket's first pair, read by ``graph._levels`` over the pair space's
+    far pairs (``d(u, v) >= radius``, both halves).  That pair has the
+    smallest index of all far pairs, since a pair ``(u, v)`` with ``u > v``
+    comes after its mirror.  If C covers, it is returned: the sweep's winner
+    at the radius is the covering component, or mirror image, holding the
+    smallest pair index, and C holds the smallest of all.  If C does not
+    cover, C and its mirror image become one union-find set under the first
+    pair, with their record, and the top bucket skips their pairs, so the
+    search is not repeated.  Under the strong and direct rules every
+    relabelled K_{k,k} returns from the flood.
+
     Pairs ``(u, v)`` with ``u <= v`` join in buckets of
     ``min(d(u, v), radius)``, from the radius down, and each brings its
     mirror ``(v, u)`` into the same union-find set.  A set is a component
@@ -176,13 +191,29 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     """
     n = g.n
     step = pair_neighbors(g, rule)
-    buckets = _pair_space(g).buckets
+    space = _pair_space(g)
+    buckets = space.buckets
+    top = g.radius
 
     # A component's cover has bit u for each first coordinate u and bit
     # n + v for each second coordinate v of its members; swapping its two
     # halves gives the cover of its mirror image.
     block = (1 << n) - 1
     covering = (1 << 2 * n) - 1
+
+    # The flood: the component at the radius of the smallest far pair, the
+    # top bucket's first.  It holds the smallest live pair, so if it covers
+    # it is the winner.
+    first = buckets[top][0]
+    flood = sum(_levels(step, first, space.far), 1 << first)
+    cover = 0
+    for u in range(n):
+        row = flood >> (u * n) & block
+        if row:
+            cover |= 1 << u | row << n
+    if cover == covering:
+        return SpanReport(g, rule, top, flood)
+
     parent = list(range(n * n))
     # The records by root: the member masks of a set's component and of its
     # mirror image, and the component's cover.  Only roots hold masks.
@@ -190,10 +221,25 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     mirror_of = [0] * (n * n)
     cover_of = [0] * (n * n)
 
-    live = 0
-    for r in range(g.radius, -1, -1):
+    # On a miss the flood and its mirror image become one set under
+    # ``first``, and the top bucket skips their pairs: ``first`` is the
+    # bucket's first pair, and the only one of theirs that is its own parent.
+    mirror = 0
+    rest = flood
+    while rest:
+        j = rest.bit_length() - 1
+        rest ^= 1 << j
+        u, v = divmod(j, n)
+        m = v * n + u
+        parent[j] = parent[m] = first
+        mirror |= 1 << m
+    members_of[first], mirror_of[first], cover_of[first] = flood, mirror, cover
+    pending = [i for i in buckets[top] if parent[i] == i][1:]
+
+    live = flood | mirror
+    for r in range(top, -1, -1):
         won = set()  # roots of covering components, all new in this bucket
-        for i in buckets[r]:
+        for i in buckets[r] if r < top else pending:
             u, v = divmod(i, n)
             m = v * n + u
             parent[m] = i

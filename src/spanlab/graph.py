@@ -11,6 +11,7 @@ is pure.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -69,7 +70,9 @@ class Graph:
     Construction rejects self-loops, duplicate edges, out-of-range vertex
     ids, empty graphs and disconnected graphs, and orders over
     ``MAX_ORDER`` before anything is allocated.  The single-vertex graph is
-    admitted.
+    admitted.  The order and the vertex ids may be any integer-likes, such
+    as numpy integers; anything else, a float included, raises
+    ``TypeError``.
 
     ``_pairs`` holds the graph's pair space (``product._pair_space``): the
     distance buckets and step table every span sweep and witness walk of
@@ -89,15 +92,26 @@ class Graph:
         edges: Iterable[Edge],
         labels: Optional[Sequence[str]] = None,
     ):
-        if not isinstance(n, int) or n <= 0:
+        # The order and the ids are read through ``operator.index``, so
+        # integer-likes such as numpy's become ints before any shift: a
+        # numpy ``1 << v`` wraps at 64 bits.
+        try:
+            n = index(n)
+        except TypeError:
+            raise TypeError(f"the order must be an integer, got {n!r}") from None
+        if n <= 0:
             raise EmptyGraphError(f"need at least one vertex, got n={n}")
         if n > MAX_ORDER:
             raise TooLargeError(f"order {n} is over {MAX_ORDER}, the order cap")
         masks = [0] * n
         for e in edges:
             u, v = e
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise TypeError(f"edge {e!r} has a vertex id that is not an integer") from None
             if not (0 <= u < n) or not (0 <= v < n):
-                raise VertexOutOfRangeError(f"edge {e} outside 0..{n - 1}")
+                raise VertexOutOfRangeError(f"edge {(u, v)} outside 0..{n - 1}")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if masks[u] >> v & 1:

@@ -18,13 +18,15 @@ Pair vertices are indexed ``u * n + v``.  ``pair_neighbors`` is the one
 definition of a rule's step: it maps a pair index to the bitmask of the
 pair indices one step away.  The span sweep and the witness search in
 ``engine`` call it directly, on live pairs and on a component's members.
-What does not depend on the rule, the step tables and the sweep's distance
-buckets, is the graph's pair space (``_pair_space``): built once per graph
-on first use, kept in the graph, and shared by every sweep and walk.
+What does not depend on the rule, the step tables, the sweep's distance
+buckets and its far-pair mask, is the graph's pair space (``_pair_space``):
+built once per graph on first use, kept in the graph, and shared by every
+sweep and walk.
 ``build_pair_graph`` materialises the whole graph at one threshold from the
 same step; the tests use it as the reference the sweep is compared against.
 Its components are unions of breadth-first levels from ``graph._levels``,
-the one search over pair indices that ``engine``'s witness walks use too.
+the one search over pair indices that ``engine``'s flood and witness walks
+use too.
 """
 
 from __future__ import annotations
@@ -123,6 +125,9 @@ class _PairSpace(NamedTuple):
     # buckets[r] holds the pair indices u * n + v with u <= v and
     # min(d(u, v), radius) == r, ascending: the order the sweep joins them.
     buckets: tuple[tuple[int, ...], ...]
+    # The far pairs: bit u * n + v set for each pair, in both halves, with
+    # d(u, v) >= radius.  The sweep's flood searches inside it.
+    far: int
     # spread[u] has bit w * n set for each neighbour w of u.  Multiplying an
     # n-bit mask by it lays one copy into each neighbour's block of n pair
     # indices; the copies cannot overlap, so no carry crosses a block.
@@ -138,14 +143,19 @@ class _PairSpace(NamedTuple):
     degree_sums: tuple[int, ...]
 
 
+# Cell bytes 0 and 1 as the digits "0" and "1".
+_BINARY = bytes.maketrans(b"\0\1", b"01")
+
+
 def _pair_space(g: Graph) -> _PairSpace:
     """The pair space of ``g``, built on first use and kept in ``g._pairs``.
 
     It stays with the graph until ``verify.check_graph`` drops it.  On
-    K30,30 it holds 1,830 bucketed pair indices, 60 spread masks and 60
-    closed spread masks of 3,600 bits, 60 closed masks, and one degree-sum
-    mask of 3,600 bits (every degree is 30), about 119 KB.  The degree-sum
-    masks hold n * n bits between them, on any graph.
+    K30,30 it holds 1,830 bucketed pair indices, the far-pair mask, 60
+    spread masks and 60 closed spread masks of 3,600 bits, 60 closed masks,
+    and one degree-sum mask of 3,600 bits (every degree is 30), about 120
+    KB; on P80 about 200 KB.  The far-pair mask and the degree-sum masks
+    hold n * n bits each, on any graph.
     """
     space = g._pairs
     if space is None:
@@ -157,6 +167,14 @@ def _pair_space(g: Graph) -> _PairSpace:
         for u, row in enumerate(g.distances):
             for i, d in enumerate(row[u:], u * n + u):
                 add[d if d < top else top](i)
+        # The far pairs: one byte per pair index for the top bucket, and the
+        # same bytes read column by column for its mirror image, each read
+        # as a binary numeral with pair index 0 last.
+        cells = bytearray(n * n)
+        for i in buckets[top]:
+            cells[i] = 1
+        transposed = b"".join([cells[v::n] for v in range(n)])
+        far = int(cells[::-1].translate(_BINARY), 2) | int(transposed[::-1].translate(_BINARY), 2)
         spread = tuple(sum(1 << (w * n) for w in row) for row in g._adj)
         closed = tuple(m | 1 << v for v, m in enumerate(g._masks))
         closed_spread = tuple(s | 1 << (u * n) for u, s in enumerate(spread))
@@ -175,6 +193,7 @@ def _pair_space(g: Graph) -> _PairSpace:
                 sums[a + b] |= rows[a] * columns[b]
         space = g._pairs = _PairSpace(
             tuple(map(tuple, buckets)),
+            far,
             spread,
             closed,
             closed_spread,

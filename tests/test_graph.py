@@ -48,6 +48,20 @@ WIDE_GRAPHS = (
 )
 
 
+class Id:
+    """An integer-like with ``__index__`` and nothing else: it neither
+    compares nor shifts, so ``Graph`` must read it with ``operator.index``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __repr__(self) -> str:
+        return f"Id({self.value})"
+
+
 def with_wide_examples(test):
     """``test`` run on each of ``WIDE_GRAPHS`` as an explicit example."""
     for g in WIDE_GRAPHS:
@@ -94,6 +108,23 @@ class TestBuildGraph:
     def test_order_above_cap_rejected_before_allocating(self, n):
         with pytest.raises(TooLargeError):
             Graph(n, [])
+
+    @pytest.mark.parametrize("wrap", [lambda u, v: (Id(u), Id(v)), lambda u, v: (u, Id(v))],
+                             ids=["both-ids", "second-id"])
+    def test_integer_like_ids_read_as_ints(self, wrap):
+        # Ids past 63 matter: numpy's ``1 << np.int64(64)`` wraps to 0, which
+        # would read P80's edge (64, 65) as a duplicate.
+        edges = [(v, v + 1) for v in range(79)]
+        g = Graph(Id(80), [wrap(u, v) for u, v in edges])
+        assert type(g.n) is int and g.n == 80
+        assert g == Graph(80, edges) and g.distances == path_graph(80).distances
+
+    @pytest.mark.parametrize("n, edges, bad", [(5.0, [(0, 1)], "5.0"), (3, [(0, 1), (1, 2.0)], "2.0")],
+                             ids=["order", "id"])
+    def test_float_order_or_id_raises_type_error(self, n, edges, bad):
+        with pytest.raises(TypeError, match=bad) as caught:
+            Graph(n, edges)
+        assert caught.value.__suppress_context__  # one error, not a chain of two
 
     def test_labels_side_table(self):
         g = Graph(2, [(0, 1)], labels=["a", "b"])

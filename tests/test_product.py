@@ -232,7 +232,8 @@ class TestComponents:
 
 def reference_pair_space(g):
     """The pair space's tables from scratch: buckets of ``u <= v`` pairs by
-    ``min(d(u, v), radius)``; for each vertex u the mask with bit ``w * n``
+    ``min(d(u, v), radius)``; the mask of all pairs at distance >= radius;
+    for each vertex u the mask with bit ``w * n``
     set for each neighbour w; and the same two masks over u's closed
     neighbourhood, with bits w and ``w * n``; and, for each degree sum
     that occurs, ascending, the mask of the pairs ``(u, v)`` with
@@ -244,6 +245,7 @@ def reference_pair_space(g):
     for u in range(n):
         for v in range(u, n):
             buckets[min(d[u][v], top)].append(u * n + v)
+    far = sum(1 << (u * n + v) for u in range(n) for v in range(n) if d[u][v] >= top)
     spread = [sum(1 << (w * n) for w in range(n) if g.has_edge(u, w)) for u in range(n)]
     closed = [[w for w in range(n) if w == u or g.has_edge(u, w)] for u in range(n)]
     degree_sums = {}
@@ -253,6 +255,7 @@ def reference_pair_space(g):
             degree_sums[s] = degree_sums.get(s, 0) | 1 << (u * n + v)
     return (
         buckets,
+        far,
         spread,
         [sum(1 << w for w in ws) for ws in closed],
         [sum(1 << (w * n) for w in ws) for ws in closed],
@@ -284,11 +287,13 @@ class TestPairSpace:
             assert _pair_space(g) is space
             assert forward == backward == alone, g.edges()
 
-            buckets, *tables = reference_pair_space(g)
-            assert all(type(table) is tuple for table in space)
+            buckets, far, *tables = reference_pair_space(g)
+            assert type(space.far) is int
+            assert all(type(table) is tuple for table in (space.buckets, *space[2:]))
             assert all(type(bucket) is tuple for bucket in space.buckets)
             assert [list(bucket) for bucket in space.buckets] == buckets, g.edges()
-            assert [list(table) for table in space[1:]] == tables, g.edges()
+            assert space.far == far, g.edges()
+            assert [list(table) for table in space[2:]] == tables, g.edges()
 
     def test_pickled_graph_keeps_its_spans(self):
         for g in (named_graph("fig1"), relabelled(path_graph(16), 3), complete_bipartite_graph(4, 5)):

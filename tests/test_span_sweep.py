@@ -39,6 +39,7 @@ from spanlab.families import (
 from spanlab.graph import Graph, _bits, _levels
 from spanlab.product import (
     MovementRule,
+    _pair_space,
     build_pair_graph,
     components_with_double_surjectivity,
     pair_neighbors,
@@ -318,9 +319,49 @@ def test_winner_is_chosen_over_its_mirror_image():
         return count
 
     # Over the three rules: 12 of the 2,316 order <= 5 winners, and 4 of the
-    # 27 cycle winners (the active rule on C_5, C_7, C_9 and C_11).
+    # 27 cycle winners (the active rule on C_5, C_7, C_9 and C_11).  Those
+    # lie at the radius, in the component of the smallest far pair, so the
+    # flood finds them.  The sunlets' active-rule winners lie one below the
+    # radius, so the union-find picks them.
     assert asymmetric_winners(g for n in range(1, 6) for g in enumerate_connected(n)) >= 12
     assert asymmetric_winners(cycle_graph(k) for k in range(3, 12)) >= 4
+    assert asymmetric_winners(sunlet_graph(k) for k in (5, 7, 9)) == 3
+
+
+def sunlet_graph(k: int) -> Graph:
+    """The cycle C_k with a pendant vertex k + v at each cycle vertex v."""
+    return Graph(2 * k, [(v, (v + 1) % k) for v in range(k)] + [(v, k + v) for v in range(k)])
+
+
+def flood(g: Graph, rule: MovementRule) -> int:
+    """The component at the radius of the smallest far pair."""
+    space = _pair_space(g)
+    first = space.buckets[g.radius][0]
+    return sum(_levels(pair_neighbors(g, rule), first, space.far), 1 << first)
+
+
+def test_flood_miss_falls_back_to_the_sweep():
+    # The smallest far pair, (0, 1), has no active-rule step to another far
+    # pair, so its component does not cover.  The union-find then finds the
+    # winner at the same threshold, the radius.
+    g = Graph(3, [(0, 2), (1, 2)])
+    rule = MovementRule.ACTIVE
+    assert flood(g, rule) == 1 << (0 * g.n + 1)
+    report = compute_span(g, rule)
+    assert report == reference_span(g, rule)
+    assert (report.value, report.witness_component) == (1, ((0, 2), (1, 2), (2, 0), (2, 1)))
+
+
+@pytest.mark.parametrize("rule", [MovementRule.TRADITIONAL, MovementRule.ACTIVE],
+                         ids=lambda r: r.value)
+@pytest.mark.parametrize("k", [2, 3, 8, 14])
+def test_flood_wins_on_bicliques(k, rule):
+    # Under the strong and direct rules K_{k,k} has span 2, its radius, and
+    # the component of the smallest far pair covers: the flood returns it.
+    g = relabelled(complete_bipartite_graph(k, k), k)
+    report = compute_span(g, rule)
+    assert report == reference_span(g, rule)
+    assert report.value == g.radius == 2 and report.members == flood(g, rule)
 
 
 def test_walk_prefers_a_pair_new_to_both_walks():

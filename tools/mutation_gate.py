@@ -123,15 +123,32 @@ MUTANTS = (
         ("tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent",),
     ),
     Mutant(
-        # K1's one pair, on the diagonal, then keeps no masks, so its
-        # covering set reads as an empty component.
-        "lone-pair-guard-drops-symmetric-sets",
+        # P3's smallest far pair is then reported alone as the winner.
+        "flood-wins-without-cover-test",
         "engine.py",
-        "if root != i or members == mirror:",
-        "if root != i:",
-        ("tests/test_engine.py::TestComputeSpan::test_single_vertex",
-         "tests/test_span_sweep.py::test_golden_digest",
-         "tests/test_cli.py::TestWitness::test_k1_single_row"),
+        "    if cover == covering:\n"
+        "        return SpanReport(g, rule, top, flood)\n",
+        "    return SpanReport(g, rule, top, flood)\n",
+        ("tests/test_span_sweep.py::test_flood_miss_falls_back_to_the_sweep",
+         "tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent"),
+    ),
+    Mutant(
+        # The seeded set then reads as symmetric, and the flood's mirror
+        # image is never live.
+        "seeded-set-is-its-own-mirror",
+        "engine.py",
+        "        mirror |= 1 << m\n",
+        "        mirror = flood\n",
+        ("tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent",),
+    ),
+    Mutant(
+        # The flood then cannot reach a pair (u, v) with u > v.
+        "far-pairs-without-mirror-half",
+        "product.py",
+        "far = int(cells[::-1].translate(_BINARY), 2) | int(transposed[::-1].translate(_BINARY), 2)",
+        "far = int(cells[::-1].translate(_BINARY), 2)",
+        ("tests/test_product.py::TestPairSpace::test_shared_tables_are_exact_and_read_only",
+         "tests/test_span_sweep.py::test_flood_wins_on_bicliques"),
     ),
     Mutant(
         "walk-starts-at-smallest-member",
