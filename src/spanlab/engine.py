@@ -40,7 +40,8 @@ level to the smallest rule-neighbour there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from operator import index
+from typing import Iterator
 
 from .errors import (
     NotActiveConformantError,
@@ -162,10 +163,12 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
     indexed by root, allocated once per sweep beside ``parent``: three
     pointer lists of ``n * n`` slots, 24 bytes per pair index on a 64-bit
     build.  A set that goes under another root clears its masks, so only
-    roots hold them; a lone pair off the diagonal holds none, and a merge
-    ORs the pair's bit and its mirror's into the growing masks.  Each
-    joining pair is unioned with its live rule-neighbours, which by
-    symmetry unions its mirror with theirs.
+    roots hold them; a lone pair off the diagonal holds none.  A merge that
+    meets one as the neighbour j derives its record from j, in j's
+    orientation (members ``1 << j``, the bit of j's mirror image, j's
+    coordinates as the cover), and merges it like any other set.  Each
+    joining pair is unioned with its live rule-neighbours, which by symmetry
+    unions its mirror with theirs.
     Neighbours already inside the growing component are skipped, so each
     neighbouring set costs one root lookup: one list read when the
     neighbour's parent is the root, path halving otherwise.  A component
@@ -262,19 +265,15 @@ def compute_span(g: Graph, rule: MovementRule) -> SpanReport:
                     # j is not in members, so it lies in the mirror image:
                     # the component meets its mirror, and they are one.
                     joined = True
-                elif not (o_members := members_of[other]):
-                    # A lone pair off the diagonal, j or its mirror image:
-                    # j joins members, its mirror joins mirror, and j's
-                    # coordinates join the cover.
-                    joined = members == mirror
-                    members_of[root] = mirror_of[root] = 0
-                    parent[root] = root = other
-                    a, b = divmod(j, n)
-                    members |= 1 << j
-                    mirror |= 1 << (b * n + a)
-                    cover |= 1 << a | 1 << (n + b)
                 else:
-                    o_mirror, o_cover = mirror_of[other], cover_of[other]
+                    if o_members := members_of[other]:
+                        o_mirror, o_cover = mirror_of[other], cover_of[other]
+                    else:
+                        # A lone pair off the diagonal, j or its mirror image,
+                        # holds no masks: its record, in j's orientation.
+                        a, b = divmod(j, n)
+                        o_members, o_mirror = 1 << j, 1 << (b * n + a)
+                        o_cover = 1 << a | 1 << (n + b)
                     # Read before the masks below are ORed together.
                     joined = members == mirror or o_members == o_mirror
                     # The growing set goes under the neighbour's root.
@@ -320,7 +319,10 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
     deg(v)``, the smallest pair index on ties: the first of the pair
     space's degree-sum masks, in ascending order of sum, that meets the
     members holds it, so the start costs one AND per distinct sum and no
-    scan of the members.  While a vertex is missing from either walk, the
+    scan of the members.  The missing vertices are recorded once, in two
+    n*n-bit masks over the pairs: ``fresh_f`` holds the pairs whose first
+    coordinate the f-walk still misses, ``fresh_g`` those whose second
+    coordinate the g-walk misses.  While either is nonzero, the
     breadth-first levels from the walk's end inside the members are read up
     to the first level holding a pair that adds a missing f- or
     g-coordinate.  The target is the smallest pair there that
@@ -359,24 +361,22 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
     root = (start & -start).bit_length() - 1
 
     # Bit u * n + v of ``fresh_f`` (``fresh_g``) is set while vertex u (v)
-    # is still missing from the f-walk (g-walk).
+    # is still missing from the f-walk (g-walk): bit u * n of ``fresh_f``
+    # and bit v of ``fresh_g`` tell, and the walk is done when both are 0.
     block = (1 << n) - 1
     fresh_f = fresh_g = (1 << n * n) - 1
     column = fresh_f // block  # bit w * n for each w
-    missing_f = missing_g = block
     walk: list[int] = []
     path = [root]
     while True:
         for i in path:
             u, v = divmod(i, n)
-            if missing_f >> u & 1:
-                missing_f ^= 1 << u
+            if fresh_f >> (u * n) & 1:
                 fresh_f ^= block << (u * n)
-            if missing_g >> v & 1:
-                missing_g ^= 1 << v
+            if fresh_g >> v & 1:
                 fresh_g ^= column << v
         walk += path
-        if not (missing_f or missing_g):
+        if not (fresh_f or fresh_g):
             break
 
         fresh = members & (fresh_f | fresh_g)
@@ -401,18 +401,13 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
         hit = hit & fresh_f & fresh_g or hit
         path = [(hit & -hit).bit_length() - 1]
         for level in reversed(levels):
-            path.append(_nearest(step, path[-1], level))
+            back = step(path[-1]) & level
+            path.append((back & -back).bit_length() - 1)
         path.reverse()
 
     f = tuple([i // n for i in walk])
     g = tuple([i % n for i in walk])
     return TrackPair(f, g, report.rule)
-
-
-def _nearest(step: Callable[[int], int], node: int, level: int) -> int:
-    """The smallest rule-neighbour of ``node`` in the bitmask ``level``."""
-    back = step(node) & level
-    return (back & -back).bit_length() - 1
 
 
 def validate_tracks(g: Graph, t: TrackPair) -> TrackValidation:
@@ -427,8 +422,9 @@ def validate_tracks(g: Graph, t: TrackPair) -> TrackValidation:
       one of them moves.
 
     Malformed tracks are errors, not non-conforming ones: unequal lengths
-    and empty tracks raise ``ValueError``, and a vertex outside ``0..n-1``
-    raises ``VertexOutOfRangeError``.
+    and empty tracks raise ``ValueError``, a vertex outside ``0..n-1``
+    raises ``VertexOutOfRangeError``, and a vertex id that is not an
+    integer-like raises ``TypeError``.
     """
     f, b = t.f, t.g
     if len(f) != len(b):
@@ -438,30 +434,32 @@ def validate_tracks(g: Graph, t: TrackPair) -> TrackValidation:
     n = g.n
     seen_f, seen_b = set(f), set(b)
     seen = seen_f | seen_b
+    if {*map(type, seen)} != {int}:
+        # Ids are read through ``operator.index``, as ``Graph`` reads them,
+        # so that the sets count integer-likes by value.
+        for w in seen:
+            try:
+                index(w)
+            except TypeError:
+                raise TypeError(f"track vertex {w!r} is not an integer") from None
+        f, b = tuple(map(index, f)), tuple(map(index, b))
+        seen_f, seen_b = set(f), set(b)
+        seen = seen_f | seen_b
     if not (0 <= min(seen) and max(seen) < n):
         w = next(w for w in f + b if not 0 <= w < n)
         raise VertexOutOfRangeError(f"vertex {w} outside 0..{n - 1}")
 
-    # The graph has no self-loops, so ``adj[a] >> c & 1`` is set exactly
-    # when the actor moved from a to c along an edge.
-    adj = g._masks
+    # An actor moving from a to c stayed when ``d(a, c)`` is 0 and moved
+    # along an edge when it is 1.
+    rows = g.distances
     steps = zip(f, f[1:], b, b[1:])
     if t.rule is MovementRule.TRADITIONAL:
-        conforms = all(
-            (a == c or adj[a] >> c & 1) and (x == y or adj[x] >> y & 1)
-            for a, c, x, y in steps
-        )
+        conforms = all(rows[a][c] <= 1 >= rows[x][y] for a, c, x, y in steps)
     elif t.rule is MovementRule.ACTIVE:
-        conforms = all(adj[a] >> c & 1 and adj[x] >> y & 1 for a, c, x, y in steps)
+        conforms = all(rows[a][c] == 1 == rows[x][y] for a, c, x, y in steps)
     else:
-        conforms = all(
-            (a == c or adj[a] >> c & 1)
-            and (x == y or adj[x] >> y & 1)
-            and adj[a] >> c & 1 != adj[x] >> y & 1
-            for a, c, x, y in steps
-        )
+        conforms = all(rows[a][c] + rows[x][y] == 1 for a, c, x, y in steps)
 
-    rows = g.distances
     return TrackValidation(
         conforms=conforms,
         surjective_f=len(seen_f) == n,

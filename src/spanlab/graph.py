@@ -157,19 +157,16 @@ class Graph:
         return sum(map(len, self._adj)) // 2
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        self._check_vertex(u)
-        return self._adj[u]
+        return self._adj[self._check_vertex(u)]
 
     def degree(self, u: int) -> int:
         return len(self.neighbors(u))
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self._masks[u] >> v & 1)
+        return bool(self._masks[self._check_vertex(u)] >> self._check_vertex(v) & 1)
 
     def label(self, u: int) -> str:
-        self._check_vertex(u)
+        u = self._check_vertex(u)
         return self.labels[u] if self.labels is not None else str(u)
 
     # -- metric accessors ------------------------------------------------
@@ -180,9 +177,7 @@ class Graph:
         return self._dist
 
     def distance(self, u: int, v: int) -> int:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return self._dist[u][v]
+        return self._dist[self._check_vertex(u)][self._check_vertex(v)]
 
     @property
     def radius(self) -> int:
@@ -192,9 +187,14 @@ class Graph:
     def diameter(self) -> int:
         return max(self._ecc)
 
-    def _check_vertex(self, u: int) -> None:
+    def _check_vertex(self, u: int) -> int:
+        """``u`` as an int, read through ``operator.index`` as ``Graph``
+        reads ids: a numpy integer would convert the mask it shifts to a
+        C long, which overflows past 63 bits."""
+        u = index(u)
         if not (0 <= u < self.n):
             raise VertexOutOfRangeError(f"vertex {u} outside 0..{self.n - 1}")
+        return u
 
     # -- dunder ----------------------------------------------------------
 
@@ -232,8 +232,7 @@ def _bfs_row(masks: Sequence[int], n: int, source: int) -> tuple[list[int], int]
 
 def eccentricity(g: Graph, u: int) -> int:
     """Largest distance from ``u`` to any vertex."""
-    g._check_vertex(u)
-    return g._ecc[u]
+    return g._ecc[g._check_vertex(u)]
 
 
 def bridges(g: Graph) -> list[Edge]:

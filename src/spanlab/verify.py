@@ -76,11 +76,9 @@ def _coverable(g: Graph, r: int, rule: MovementRule) -> bool:
     # at a pair is the move to it.  Both come from two per-vertex tables:
     # ``into_f[x]`` holds Alice's part of the pair index and her seen bit,
     # ``into_g[y]`` Bob's, and the move to (x, y) is their sum (not their
-    # OR: x * n and y add up to the pair index).  Building each move list in
-    # one comprehension over them, with no list of position pairs first,
-    # took the three rules over the 853 connected order-7 classes from
-    # 0.67-0.88 s to 0.56-0.75 s, and ``enum5-oracle`` ops_per_s from 2,402
-    # to 2,739 (medians of ten 30 s runs each).  The search is depth-first
+    # OR: x * n and y add up to the pair index).  Each move list is built
+    # in one comprehension over them, with no list of position pairs
+    # first, which is faster.  The search is depth-first
     # from every start pair at once: a failing search still visits every
     # reachable state, and a succeeding one dives to a complete state
     # instead of first visiting every state at a smaller depth.  Most

@@ -91,6 +91,21 @@ def relabelled(g: Graph, seed: int) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+class Id:
+    """An integer-like with ``__index__`` and nothing else: it neither
+    compares nor shifts, so the package must read it with
+    ``operator.index``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __repr__(self) -> str:
+        return f"Id({self.value})"
+
+
 def covering(val, distance: int, at_least: bool = False) -> bool:
     """A ``validate_tracks`` result for walks that conform, each cover every
     vertex, and keep a minimum distance of exactly ``distance`` (at least

@@ -6,6 +6,7 @@ from hypothesis import given
 from spanlab.engine import (
     SpanReport,
     TrackPair,
+    TrackValidation,
     compute_span,
     direct_to_lazy,
     extract_witness_tracks,
@@ -32,7 +33,7 @@ from spanlab.verify import enumerate_connected
 
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, covering
+from conftest import Id, connected_graphs, covering
 
 T, A, L = MovementRule.TRADITIONAL, MovementRule.ACTIVE, MovementRule.LAZY
 
@@ -226,6 +227,8 @@ class TestValidateTracks:
         b = (2, 2, 2, 1)
         assert not validate_tracks(g, TrackPair(f, b, L)).conforms
         assert validate_tracks(g, TrackPair(f, b, T)).conforms
+        # Both staying is the only fault here.
+        assert not validate_tracks(g, TrackPair(f[:3], b[:3], L)).conforms
 
     def test_stay_fails_active(self):
         g = path_graph(3)
@@ -235,6 +238,7 @@ class TestValidateTracks:
         g = path_graph(4)
         for rule in (T, A, L):
             assert not validate_tracks(g, TrackPair((0, 2), (3, 3), rule)).conforms
+            assert not validate_tracks(g, TrackPair((3, 3), (0, 2), rule)).conforms
 
     def test_out_of_range(self):
         with pytest.raises(VertexOutOfRangeError):
@@ -247,6 +251,19 @@ class TestValidateTracks:
     def test_empty(self):
         with pytest.raises(ValueError):
             validate_tracks(path_graph(3), TrackPair((), (), T))
+
+    @pytest.mark.parametrize("rule", [T, A, L])
+    def test_integer_like_ids_read_as_ints(self, rule):
+        # Both walks cross P80, whose masks are wider than a C long: a
+        # numpy integer id must not shift one, or the shift overflows.
+        up = tuple(map(Id, range(80)))
+        val = validate_tracks(path_graph(80), TrackPair(up, up[::-1], rule))
+        assert val == TrackValidation(rule is not L, True, True, 1)
+
+    def test_float_id_raises_type_error(self):
+        with pytest.raises(TypeError, match="1.5") as caught:
+            validate_tracks(path_graph(3), TrackPair((0, 1.5), (2, 2), T))
+        assert caught.value.__suppress_context__  # one error, not a chain of two
 
     def test_non_surjective_flagged(self):
         g = path_graph(3)

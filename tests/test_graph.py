@@ -25,7 +25,7 @@ from spanlab.families import (
 from spanlab.graph import MAX_ORDER, Graph, _levels, bridges, eccentricity
 from spanlab.verify import random_graphs
 
-from conftest import bridges_by_removal, connected_graphs, floyd_warshall, relabelled
+from conftest import Id, bridges_by_removal, connected_graphs, floyd_warshall, relabelled
 
 FIG1_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 3), (2, 5)]
 
@@ -46,20 +46,6 @@ WIDE_GRAPHS = (
     hypercube_graph(6),
     next(random_graphs(1, (60, 60), 0.1, 3)),
 )
-
-
-class Id:
-    """An integer-like with ``__index__`` and nothing else: it neither
-    compares nor shifts, so ``Graph`` must read it with ``operator.index``."""
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __index__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Id({self.value})"
 
 
 def with_wide_examples(test):
@@ -118,6 +104,21 @@ class TestBuildGraph:
         g = Graph(Id(80), [wrap(u, v) for u, v in edges])
         assert type(g.n) is int and g.n == 80
         assert g == Graph(80, edges) and g.distances == path_graph(80).distances
+
+    def test_accessors_read_integer_like_ids_as_ints(self):
+        # P80's masks are wider than a C long, to which a shift by a numpy
+        # integer would convert them: ``has_edge(78, np.int64(79))`` would
+        # overflow.
+        g = Graph(80, [(v, v + 1) for v in range(79)])
+        assert g.neighbors(Id(79)) == (78,) and g.degree(Id(40)) == 2
+        assert g.has_edge(78, Id(79)) and g.has_edge(Id(79), Id(78))
+        assert not g.has_edge(Id(0), Id(79))
+        assert g.label(Id(79)) == "79"
+        assert g.distance(Id(0), Id(79)) == 79 and eccentricity(g, Id(40)) == 40
+        with pytest.raises(VertexOutOfRangeError):
+            g.has_edge(Id(0), Id(80))
+        with pytest.raises(TypeError):
+            g.label(1.0)
 
     @pytest.mark.parametrize("n, edges, bad", [(5.0, [(0, 1)], "5.0"), (3, [(0, 1), (1, 2.0)], "2.0")],
                              ids=["order", "id"])

@@ -17,6 +17,10 @@ working tree is never edited.  The gate fails (exit 1) when
   copy is not the ``spanlab`` the tests import, or the tests fail on the
   unmutated copy, which they run on first.
 
+A mutant's tests that run past ``MUTANT_TIMEOUT`` seconds count as failed,
+so the mutant as killed: a fault that leaves the span sweep or the witness
+walk looping forever fails every run of the suite.
+
 Only the standard library and pytest are needed.  The gate only adds
 checks; it replaces no test of the suite.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -34,6 +39,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+# Every mutant's tests run in a few seconds; the unmutated run has no limit.
+MUTANT_TIMEOUT = 30
 
 
 class Mutant(NamedTuple):
@@ -123,6 +130,32 @@ MUTANTS = (
         ("tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent",),
     ),
     Mutant(
+        # Every neighbouring set then merges as a lone pair, and its other
+        # members are lost: the sweep meets one of them as j and, finding it
+        # in neither half, loops until the timeout.
+        "merge-reads-every-set-as-lone",
+        "engine.py",
+        "if o_members := members_of[other]:",
+        "if o_members := 0:",
+        ("tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent",),
+    ),
+    Mutant(
+        # The record then holds j in its mirror half while its cover is j's,
+        # so the merge swaps the cover to the mirror image's.
+        "lone-pair-halves-swapped",
+        "engine.py",
+        "o_members, o_mirror = 1 << j, 1 << (b * n + a)",
+        "o_members, o_mirror = 1 << (b * n + a), 1 << j",
+        ("tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent",),
+    ),
+    Mutant(
+        "lone-pair-cover-without-bob",
+        "engine.py",
+        "o_cover = 1 << a | 1 << (n + b)",
+        "o_cover = 1 << a",
+        ("tests/test_span_sweep.py::test_sweep_matches_per_threshold_descent",),
+    ),
+    Mutant(
         # P3's smallest far pair is then reported alone as the winner.
         "flood-wins-without-cover-test",
         "engine.py",
@@ -175,6 +208,85 @@ MUTANTS = (
         "hit = hit",
         ("tests/test_span_sweep.py::test_walk_prefers_a_pair_new_to_both_walks",
          "tests/test_span_sweep.py::test_golden_digest"),
+    ),
+    Mutant(
+        # Bit u of ``fresh_f`` is the pair (0, u): it reads vertex 0's
+        # place in the f-walk, not u's.  Once vertex 0 is walked no row is
+        # cleared, and the walk runs until the timeout.
+        "walk-f-missing-read-as-column",
+        "engine.py",
+        "if fresh_f >> (u * n) & 1:",
+        "if fresh_f >> u & 1:",
+        ("tests/test_span_sweep.py::test_members_mask_is_the_walked_component",
+         "tests/test_span_sweep.py::test_golden_digest"),
+    ),
+    Mutant(
+        # Bit v * n of ``fresh_g`` is the pair (v, 0): it reads vertex 0's
+        # place in the g-walk, and the walk runs until the timeout.
+        "walk-g-missing-read-as-row",
+        "engine.py",
+        "if fresh_g >> v & 1:",
+        "if fresh_g >> (v * n) & 1:",
+        ("tests/test_span_sweep.py::test_members_mask_is_the_walked_component",
+         "tests/test_span_sweep.py::test_golden_digest"),
+    ),
+    Mutant(
+        "walk-stops-when-one-walk-covers",
+        "engine.py",
+        "if not (fresh_f or fresh_g):",
+        "if not (fresh_f and fresh_g):",
+        ("tests/test_engine.py::TestExtractWitness::test_every_order_le_5_walk_is_valid_and_bounded",),
+    ),
+    Mutant(
+        # The traced path then skips to any node of the level below.
+        "trace-back-not-adjacent",
+        "engine.py",
+        "back = step(path[-1]) & level",
+        "back = level",
+        ("tests/test_engine.py::TestExtractWitness::test_every_order_le_5_walk_is_valid_and_bounded",),
+    ),
+    Mutant(
+        "trace-back-to-largest-neighbour",
+        "engine.py",
+        "path.append((back & -back).bit_length() - 1)",
+        "path.append(back.bit_length() - 1)",
+        ("tests/test_span_sweep.py::test_golden_digest",),
+    ),
+    Mutant(
+        "track-ids-not-read-as-ints",
+        "engine.py",
+        "if {*map(type, seen)} != {int}:",
+        "if False:",
+        ("tests/test_engine.py::TestValidateTracks",),
+    ),
+    Mutant(
+        "traditional-step-checks-alice-only",
+        "engine.py",
+        "rows[a][c] <= 1 >= rows[x][y]",
+        "rows[a][c] <= 1",
+        ("tests/test_engine.py::TestValidateTracks::test_jump_fails_every_rule",),
+    ),
+    Mutant(
+        "active-step-checks-alice-only",
+        "engine.py",
+        "rows[a][c] == 1 == rows[x][y]",
+        "rows[a][c] == 1",
+        ("tests/test_witness_checks.py::test_validate_matches_reference_on_arbitrary_tracks",),
+    ),
+    Mutant(
+        # Both actors may then stay put in one step.
+        "lazy-step-allows-no-mover",
+        "engine.py",
+        "rows[a][c] + rows[x][y] == 1",
+        "rows[a][c] + rows[x][y] <= 1",
+        ("tests/test_engine.py::TestValidateTracks::test_both_stay_fails_lazy_but_passes_traditional",),
+    ),
+    Mutant(
+        "vertex-check-keeps-integer-like",
+        "graph.py",
+        "        u = index(u)\n",
+        "",
+        ("tests/test_graph.py::TestBuildGraph::test_accessors_read_integer_like_ids_as_ints",),
     ),
     Mutant(
         # A byte under 32 then unpacks to fewer than six bits, and every
@@ -333,8 +445,9 @@ def stale(mutant: Mutant) -> str | None:
 
 def run_tests(tests: tuple[str, ...], mutant: Mutant | None = None) -> tuple[int | str, float]:
     """Run ``tests`` with ``pytest -x`` on a copy of ``src/``, with
-    ``mutant`` applied if given: pytest's exit code, or why the tests could
-    not run on the copy, and the seconds taken."""
+    ``mutant`` applied if given: pytest's exit code (1 for a mutant's tests
+    that time out), or why the tests could not run on the copy, and the
+    seconds taken."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = Path(tmp) / "src"
@@ -350,14 +463,23 @@ def run_tests(tests: tuple[str, ...], mutant: Mutant | None = None) -> tuple[int
         )
         if not where.stdout.startswith(str(src)):
             return f"the tests import {where.stdout.strip() or where.stderr.strip()}", 0.0
-        proc = subprocess.run(
+        # In a session of its own, so that a timeout kills the processes a
+        # test starts along with pytest.
+        with subprocess.Popen(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=ROOT, env=env, capture_output=True, text=True,
-        )
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            start_new_session=True,
+        ) as proc:
+            try:
+                output, _ = proc.communicate(timeout=None if mutant is None else MUTANT_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                return 1, time.perf_counter() - start
     seconds = time.perf_counter() - start
     if proc.returncode in (0, 1):
         return proc.returncode, seconds
-    tail = (proc.stdout + proc.stderr).strip().splitlines()[-1:]
+    tail = output.strip().splitlines()[-1:]
     return f"pytest exited {proc.returncode}: {' '.join(tail)}", seconds
 
 
