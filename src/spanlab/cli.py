@@ -8,7 +8,6 @@ a size cap (an exhaustive routine's or the graph order).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import nullcontext
 from typing import Callable, Iterable, Optional, Sequence
@@ -152,15 +151,8 @@ def _cmd_verify_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_random(args: argparse.Namespace) -> int:
-    seed = args.seed
-    env = os.environ.get("SPANLAB_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise _Exit(2, f"SPANLAB_SEED must be an integer, got {env!r}") from None
     orders = (args.n_min, args.n_max)
-    return _sweep(lambda: verify.random_graphs(args.count, orders, args.p, seed), args)
+    return _sweep(lambda: verify.random_graphs(args.count, orders, args.p, args.seed), args)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -257,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-random", help="check the span theorems on a seeded random corpus")
     p.add_argument("--count", type=int, default=500)
-    p.add_argument("--seed", type=int, default=42, help="overridden by SPANLAB_SEED")
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n-min", type=int, default=6)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--p", type=float, default=0.3, help="edge probability")

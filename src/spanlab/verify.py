@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
+from operator import index
 from typing import Callable, Iterable, Iterator
 
 # direct_to_lazy and lazy_to_direct are not used here; they are re-exported
@@ -169,9 +170,10 @@ def enumerate_connected(n: int, dedup: bool = False) -> Iterator[Graph]:
 
     With ``dedup`` only the lexicographically smallest labelled graph of
     each isomorphism class is yielded (permutation canonicalisation, so
-    dedup is capped at n <= 6; plain enumeration at n <= 7).  A bad ``n``
-    raises at the call, before the first graph is drawn.
+    dedup is capped at n <= 6; plain enumeration at n <= 7).  A bad ``n``,
+    a float too, raises at the call, before the first graph is drawn.
     """
+    n = index(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > ENUMERATE_MAX_N:
@@ -215,12 +217,13 @@ def random_graphs(
     allow, at least one and at most ``RANDOM_MAX_ATTEMPTS``, and the stream
     raises ``ValueError`` at the graph that runs out of them: a graph that
     cannot be drawn costs about ``RANDOM_MAX_FLIPS`` flips at most, at any
-    order.  The options are checked at the call, before the first draw, and
-    an ``n_range`` reaching over ``graph.MAX_ORDER`` raises
-    ``TooLargeError`` there: a draw of that order would otherwise build a
-    quadratic edge list that ``Graph`` then refuses.
+    order.  The options are checked at the call, before the first draw (a
+    float count or order raises ``TypeError``), and an ``n_range`` reaching
+    over ``graph.MAX_ORDER`` raises ``TooLargeError``: a draw of that order
+    would otherwise build a quadratic edge list that ``Graph`` then refuses.
     """
-    lo, hi = n_range
+    count = index(count)
+    lo, hi = map(index, n_range)
     if count < 0:
         raise ValueError(f"graph count must be non-negative, got {count}")
     if lo < 1 or hi < lo:

@@ -106,6 +106,12 @@ class Id:
         return f"Id({self.value})"
 
 
+def ids(walk) -> tuple[Id, ...]:
+    """The walk as a fresh ``Id`` at every position: no two of them compare
+    equal, so a stay read by identity would count as a move."""
+    return tuple(map(Id, walk))
+
+
 def covering(val, distance: int, at_least: bool = False) -> bool:
     """A ``validate_tracks`` result for walks that conform, each cover every
     vertex, and keep a minimum distance of exactly ``distance`` (at least

@@ -640,25 +640,6 @@ class TestVerifyCommands:
         argv = ["verify-random", "--count", "1", "--n-min", "2048", "--n-max", "2048", "--p", "0.001"]
         assert_error(run_cli(*argv, timeout=60), 2)
 
-    def test_random_seed_env_override(self, tmp_path, capsys, monkeypatch):
-        rec_a = tmp_path / "a.txt"
-        rec_b = tmp_path / "b.txt"
-        rec_c = tmp_path / "c.txt"
-        args = ["verify-random", "--count", "5", "--n-min", "4", "--n-max", "6",
-                "--jobs", "1", "--records"]
-        monkeypatch.setenv("SPANLAB_SEED", "123")
-        main(args + [str(rec_a), "--seed", "1"])
-        main(args + [str(rec_b), "--seed", "2"])
-        monkeypatch.delenv("SPANLAB_SEED")
-        main(args + [str(rec_c), "--seed", "123"])
-        capsys.readouterr()
-        assert rec_a.read_text() == rec_b.read_text() == rec_c.read_text()
-
-    def test_random_seed_env_not_an_integer_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPANLAB_SEED", "1.5")
-        err = assert_error(main(["verify-random", "--count", "1"]), 2, capsys)
-        assert "SPANLAB_SEED must be an integer" in err
-
 
 class TestBounds:
     def test_fig6_left(self, write_graph, capsys):

@@ -33,7 +33,7 @@ from spanlab.verify import enumerate_connected
 
 from hypothesis import strategies as st
 
-from conftest import Id, connected_graphs, covering
+from conftest import Id, connected_graphs, covering, ids
 
 T, A, L = MovementRule.TRADITIONAL, MovementRule.ACTIVE, MovementRule.LAZY
 
@@ -210,6 +210,13 @@ class TestExtractWitness:
 FIG1_WALKS = TrackPair(f=(3, 4, 5, 0, 1, 2), g=(0, 1, 3, 2, 5, 4), rule=A)
 
 
+class TestTrackPair:
+    def test_walks_read_as_tuples_of_ints(self):
+        t = TrackPair((0, 1, 1), (2, 2, 1), L)
+        assert TrackPair([0, 1, 1], [2, 2, 1], L) == t
+        assert TrackPair(ids(t.f), ids(t.g), L) == t
+
+
 class TestValidateTracks:
     def test_fig1_walks_conform_and_keep_distance_2(self):
         g = named_graph("fig1")
@@ -243,6 +250,8 @@ class TestValidateTracks:
     def test_out_of_range(self):
         with pytest.raises(VertexOutOfRangeError):
             validate_tracks(path_graph(3), TrackPair((0, 3), (1, 1), T))
+        with pytest.raises(VertexOutOfRangeError, match="vertex 3"):
+            validate_tracks(path_graph(3), TrackPair([0, 3], (1, 1), T))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -294,6 +303,11 @@ class TestMoveAttribution:
         with pytest.raises(NotLazyConformantError):
             move_attribution(named_graph("fig1"), FIG1_WALKS)
 
+    def test_integer_like_ids_read_as_ints(self):
+        # Alice moves, then Bob: by identity Alice would move at both steps.
+        t = TrackPair(ids((0, 1, 1)), ids((2, 2, 1)), L)
+        assert move_attribution(path_graph(3), t).x == (1, 2)
+
 
 class TestDirectToLazy:
     def test_single_step_tracks_unchanged(self):
@@ -327,6 +341,11 @@ class TestDirectToLazy:
         g = path_graph(3)
         with pytest.raises(NotActiveConformantError):
             direct_to_lazy(g, TrackPair((0, 0, 1), (2, 2, 2), A))
+
+    def test_integer_like_ids_read_as_ints(self):
+        g = named_graph("fig1")
+        t = TrackPair(ids(FIG1_WALKS.f), ids(FIG1_WALKS.g), A)
+        assert direct_to_lazy(g, t) == direct_to_lazy(g, FIG1_WALKS)
 
 
 class TestLazyToDirect:
@@ -375,6 +394,15 @@ class TestLazyToDirect:
         g = named_graph("fig1")
         with pytest.raises(NotLazyConformantError):
             lazy_to_direct(g, FIG1_WALKS)
+
+    def test_integer_like_ids_read_as_ints(self):
+        # Mixed pairs only on C5; a same-mover pair and its bounce on C4.
+        g = cycle_graph(5)
+        t = TrackPair(ids(C5_LAZY_F[:5]), ids(C5_LAZY_G[:5]), L)
+        assert lazy_to_direct(g, t) == TrackPair((0, 4, 3), (2, 1, 0), A)
+        g = cycle_graph(4)
+        t = TrackPair(ids((0, 1, 2)), ids((2, 2, 2)), L)
+        assert lazy_to_direct(g, t) == lazy_to_direct(g, TrackPair((0, 1, 2), (2, 2, 2), L))
 
     @given(lazy_walk_pairs())
     def test_contract_on_arbitrary_lazy_walks(self, graph_and_tracks):

@@ -30,7 +30,7 @@ from spanlab.io import (
 from spanlab.product import MovementRule
 from spanlab.verify import enumerate_connected, random_graphs
 
-from conftest import connected_graphs, decode_graph6_by_strings
+from conftest import connected_graphs, decode_graph6_by_strings, ids
 
 FIG1_TEXT = """\
 # the 6-vertex running example
@@ -237,12 +237,20 @@ class TestWitnessDot:
         g = named_graph("fig1")
         assert emit_witness_dot(g, FIG1_WALKS) == emit_witness_dot(g, FIG1_WALKS)
 
+    def test_integer_like_ids_read_as_ints(self):
+        g = cycle_graph(6)
+        tracks = extract_witness_tracks(compute_span(g, MovementRule.LAZY))
+        same = TrackPair(ids(tracks.f), ids(tracks.g), tracks.rule)
+        assert emit_witness_dot(g, same) == emit_witness_dot(g, tracks)
+
     def test_invalid_tracks(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(InvalidTracksError):
             emit_witness_dot(g, TrackPair((0, 1), (1,), MovementRule.ACTIVE))
         with pytest.raises(InvalidTracksError):
             emit_witness_dot(g, TrackPair((0, 2), (1, 0), MovementRule.ACTIVE))
+        with pytest.raises(InvalidTracksError, match="vertex 3"):
+            emit_witness_dot(path_graph(3), TrackPair([0, 3], (1, 1), MovementRule.TRADITIONAL))
 
 
 def test_edge_list_round_trip_random_order():

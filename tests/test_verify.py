@@ -179,6 +179,10 @@ class TestEnumerate:
         with pytest.raises(TooLargeError):
             next(enumerate_connected(7, dedup=True))
 
+    def test_float_order_raises_at_the_call(self):
+        with pytest.raises(TypeError):
+            enumerate_connected(5.0)
+
     def test_stream_is_ascending_and_deterministic(self):
         first = [emit_graph6(g) for g in enumerate_connected(4)]
         second = [emit_graph6(g) for g in enumerate_connected(4)]
@@ -205,6 +209,13 @@ class TestRandomGraphs:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             list(random_graphs(-3, (4, 9), 0.3, 7))
+
+    @pytest.mark.parametrize("count, n_range", [(2.5, (6, 8)), (2, (6.0, 8)), (2, (6, 8.0))])
+    def test_float_option_raises_at_the_call(self, count, n_range):
+        # Not at the first draw: ``range(2.5)`` fails there, and Python 3.11
+        # still draws ``randint(6.0, 8)`` where 3.12 refuses it.
+        with pytest.raises(TypeError):
+            random_graphs(count, n_range, 0.3, 7)
 
     def test_order_over_the_cap_refused_before_drawing(self, monkeypatch):
         class NoDraws(random.Random):

@@ -253,11 +253,16 @@ MUTANTS = (
         ("tests/test_span_sweep.py::test_golden_digest",),
     ),
     Mutant(
+        # The walks are kept as given: a list stays a list, and fresh ``Id``s
+        # compare by identity, so every stay reads as a move.
         "track-ids-not-read-as-ints",
         "engine.py",
-        "if {*map(type, seen)} != {int}:",
-        "if False:",
-        ("tests/test_engine.py::TestValidateTracks",),
+        "(*map(index, walk),)",
+        "(*walk,)",
+        ("tests/test_engine.py::TestTrackPair::test_walks_read_as_tuples_of_ints",
+         "tests/test_engine.py::TestMoveAttribution::test_integer_like_ids_read_as_ints",
+         "tests/test_engine.py::TestLazyToDirect::test_integer_like_ids_read_as_ints",
+         "tests/test_io.py::TestWitnessDot::test_integer_like_ids_read_as_ints"),
     ),
     Mutant(
         "traditional-step-checks-alice-only",
