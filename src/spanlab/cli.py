@@ -25,14 +25,8 @@ from .graph import Graph
 from .product import MovementRule
 
 
-class _Exit(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _exit_code(exc: SpanlabError) -> int:
-    """The documented exit code of a library error."""
+    """The documented exit code of an error, the library's or the CLI's own."""
     if isinstance(exc, DisconnectedError):
         return 3
     if isinstance(exc, TooLargeError):
@@ -45,7 +39,7 @@ def _read_graph(path: str, fmt: str) -> Graph:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _Exit(2, f"cannot read {path}: {exc}") from exc
+        raise SpanlabError(f"cannot read {path}: {exc}") from exc
     if fmt == "auto":
         fmt = "graph6" if path.endswith(".g6") else "edgelist"
     try:
@@ -53,7 +47,8 @@ def _read_graph(path: str, fmt: str) -> Graph:
             return io.parse_graph6(text)
         return io.parse_edge_list(text)
     except SpanlabError as exc:
-        raise _Exit(_exit_code(exc), f"{path}: {exc}") from exc
+        exc.args = (f"{path}: {exc}",)  # same class, so the same exit code
+        raise
 
 
 def _cmd_span(args: argparse.Namespace) -> int:
@@ -125,7 +120,7 @@ def _sweep(draw: Callable[[], Iterable[Graph]], args: argparse.Namespace) -> int
         try:
             records = open(args.records, "w", encoding="utf-8") if args.records else None
         except OSError as exc:
-            raise _Exit(2, f"cannot write {args.records}: {exc}") from exc
+            raise SpanlabError(f"cannot write {args.records}: {exc}") from exc
         checked, bad, positives = 0, [], []
         with records or nullcontext():
             for record in verify.check_theorems(
@@ -138,7 +133,7 @@ def _sweep(draw: Callable[[], Iterable[Graph]], args: argparse.Namespace) -> int
                 if records is not None:
                     records.write(record.to_line() + "\n")
     except ValueError as exc:
-        raise _Exit(2, str(exc)) from exc
+        raise SpanlabError(str(exc)) from exc
     print(f"graphs checked: {checked}")
     print(f"{len(bad)} counterexamples; {len(positives)} graphs with cartesian>direct")
     for line in bad + positives:
@@ -183,19 +178,16 @@ def _graph_for_token(token: str) -> Graph:
     spec = families.spec_for_token(token)
     if spec is None:
         raise UnknownGraphIdError(
-            f"unknown graph {io.quoted(token)}; see 'spanlab named --list'"
+            f"unknown graph {io.quoted(token)}; see 'spanlab named'"
             " or use a family token like P5, C6, Q3, K5, K3_4, S4, W5, PC5, BT3"
         )
     return families.generate(spec)
 
 
 def _cmd_named(args: argparse.Namespace) -> int:
-    if args.list:
-        for gid in families.NAMED_GRAPH_IDS:
-            print(gid)
-        return 0
     if args.id is None:
-        raise _Exit(2, "a graph id is required (or use --list)")
+        print("\n".join(families.NAMED_GRAPH_IDS))
+        return 0
     g = _graph_for_token(args.id)
     if args.format == "graph6":
         print(io.emit_graph6(g))
@@ -261,10 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("named", help="emit a bundled named graph or family instance")
+    p = sub.add_parser("named", help="emit a bundled named graph or family instance; with no id, list the bundled ids")
     p.add_argument("id", nargs="?", help="e.g. fig1, fig6_left, P5, C6, Q3, K3_4, PC5, BT3")
     p.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
-    p.add_argument("--list", action="store_true", help="list the bundled graph ids")
     p.set_defaults(func=_cmd_named)
 
     return parser
@@ -275,9 +266,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Exit as exc:
-        print(f"spanlab: {exc}", file=sys.stderr)
-        return exc.code
     except SpanlabError as exc:
         print(f"spanlab: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -102,8 +102,9 @@ class TrackPair:
     """Two equal-length vertex walks (Alice's and Bob's) under one rule.
 
     Each walk is read once, here, through ``operator.index`` into a tuple of
-    ints, and an id that is not an integer raises ``TypeError``.  Lengths,
-    emptiness and ranges are left to ``validate_tracks`` and the DOT writer.
+    ints, and an id that is not an integer raises ``TypeError``, as does a
+    ``rule`` that is not a ``MovementRule``.  Lengths, emptiness and ranges
+    are left to ``validate_tracks`` and the DOT writer.
     """
 
     f: tuple[int, ...]
@@ -111,6 +112,8 @@ class TrackPair:
     rule: MovementRule
 
     def __post_init__(self) -> None:
+        if type(self.rule) is not MovementRule:
+            raise TypeError(f"rule {self.rule!r} is not a MovementRule")
         for name, walk in (("f", self.f), ("g", self.g)):
             try:
                 # At its exact size: ``tuple(map(...))`` resizes, and the

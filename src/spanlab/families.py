@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import index
 from typing import Callable, NamedTuple
 
 from .errors import ParameterOutOfRangeError, TooLargeError, UnknownGraphIdError
@@ -138,11 +139,16 @@ def _family(kind: str) -> _Family:
 
 
 def _checked(spec: FamilySpec) -> tuple[_Family, tuple[int, ...]]:
-    """The table row of a spec and its parameters, held to the row's floor."""
+    """The table row of a spec and its parameters, read as ints (a float
+    raises ``TypeError``) and held to the row's floor."""
     family = _family(spec.kind)
     params = (spec.n, spec.m)[: family.arity]
+    got = ", ".join(map(str, params))
+    try:
+        params = tuple(p if p is None else index(p) for p in params)
+    except TypeError:
+        raise TypeError(f"{spec.kind} parameters must be integers, got {got}") from None
     if any(p is None or p < family.floor for p in params):
-        got = ", ".join(map(str, params))
         raise ParameterOutOfRangeError(f"{family.needs.format(family.floor)}, got {got}")
     return family, params
 

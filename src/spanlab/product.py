@@ -210,8 +210,11 @@ def pair_neighbors(g: Graph, rule: MovementRule) -> Callable[[int], int]:
     with no distance filter; callers AND it with the pairs they keep.  This
     is the only place a rule's step is spelled out.  It reads the step
     tables from the graph's pair space, so every call on one graph shares
-    them.
+    them.  A ``rule`` that is not a ``MovementRule``, such as its name,
+    raises ``TypeError``.
     """
+    if type(rule) is not MovementRule:
+        raise TypeError(f"rule {rule!r} is not a MovementRule")
     n = g.n
     masks = g._masks
     space = _pair_space(g)

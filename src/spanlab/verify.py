@@ -56,8 +56,11 @@ def oracle_span(g: Graph, rule: MovementRule) -> int:
     the positions come closer than the threshold.  The span is the largest
     threshold from which some doubly-complete state is reachable.  The
     n^2 * 4^n states number under a million at order 7, and the search is
-    depth-first, so one that succeeds visits few of them.
+    depth-first, so one that succeeds visits few of them.  A ``rule`` that
+    is not a ``MovementRule``, such as its name, raises ``TypeError``.
     """
+    if type(rule) is not MovementRule:
+        raise TypeError(f"rule {rule!r} is not a MovementRule")
     if g.n > ORACLE_MAX_N:
         raise TooLargeError(
             f"oracle state space is n^2 * 4^n; capped at n <= {ORACLE_MAX_N}, got {g.n}"
@@ -336,7 +339,10 @@ def check_graph(
     dropped once they are done, so a corpus held in memory does not keep
     one per checked graph.
     """
-    _check_oracle_max_n(oracle_max_n)
+    if oracle_max_n > ORACLE_MAX_N:
+        raise ValueError(
+            f"oracle_max_n {oracle_max_n} is over the oracle's cap of {ORACLE_MAX_N} vertices"
+        )
     reports = {rule: compute_span(g, rule) for rule in RULES}
     strong = reports[MovementRule.TRADITIONAL].value
     direct = reports[MovementRule.ACTIVE].value
@@ -393,13 +399,6 @@ def check_graph(
     )
 
 
-def _check_oracle_max_n(oracle_max_n: int) -> None:
-    if oracle_max_n > ORACLE_MAX_N:
-        raise ValueError(
-            f"oracle_max_n {oracle_max_n} is over the oracle's cap of {ORACLE_MAX_N} vertices"
-        )
-
-
 def _witness_holds(val: TrackValidation, floor: int, exact: bool = False) -> bool:
     """The walks conform, both cover every vertex, and their minimum
     distance is at least ``floor`` (exactly ``floor`` when ``exact``)."""
@@ -425,7 +424,6 @@ def check_theorems(
     corpus: Iterable[Graph],
     jobs: int | None = None,
     check_witnesses: bool = False,
-    oracle_max_n: int = 5,
 ) -> Iterator[GraphRecord]:
     """An iterator of one ``GraphRecord`` per graph, in corpus order
     whatever ``jobs`` is; neither the corpus nor the records are held.
@@ -433,11 +431,10 @@ def check_theorems(
     ``jobs`` defaults to the CPU count and is clamped by ``clamp_jobs``.  One
     worker checks each graph in this process as it is drawn; more get the
     pickled graphs through a fork pool, which draws a bounded number of
-    graphs ahead of the last record.  An ``oracle_max_n`` over
-    ``ORACLE_MAX_N`` raises ``ValueError`` at the call.
+    graphs ahead of the last record.  The oracle checks the graphs of
+    order at most 5, ``check_graph``'s default.
     """
-    _check_oracle_max_n(oracle_max_n)
-    check = partial(check_graph, check_witnesses=check_witnesses, oracle_max_n=oracle_max_n)
+    check = partial(check_graph, check_witnesses=check_witnesses)
     cpus = os.cpu_count() or 1
     workers = clamp_jobs(cpus if jobs is None else jobs, cpus)
     if workers == 1:

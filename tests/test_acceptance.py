@@ -116,7 +116,7 @@ def tree_results():
 def exhaustive_report():
     start = time.monotonic()
     corpus = (g for n in range(1, 7) for g in enumerate_connected(n))
-    records = list(check_theorems(corpus, jobs=1, check_witnesses=True, oracle_max_n=5))
+    records = list(check_theorems(corpus, jobs=1, check_witnesses=True))
     return records, time.monotonic() - start
 
 
@@ -124,7 +124,7 @@ def exhaustive_report():
 def random_report():
     start = time.monotonic()
     corpus = random_graphs(500, (6, 12), 0.3, seed=42)
-    records = list(check_theorems(corpus, jobs=1, check_witnesses=True, oracle_max_n=5))
+    records = list(check_theorems(corpus, jobs=1, check_witnesses=True))
     return records, time.monotonic() - start
 
 

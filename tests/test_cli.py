@@ -10,7 +10,7 @@ import pytest
 
 from spanlab import cli, families, verify
 from spanlab.cli import main
-from spanlab.families import named_graph, paramecium_graph
+from spanlab.families import NAMED_GRAPH_IDS, named_graph, paramecium_graph
 from spanlab.io import emit_edge_list, emit_graph6, parse_graph6
 
 from conftest import decode_graph6_by_strings
@@ -731,9 +731,8 @@ class TestNamed:
         assert_error(run_cli("named", token, timeout=20, capped=True), 4)
 
     def test_list(self, capsys):
-        assert main(["named", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig1" in out and "fig7_h" in out
+        assert main(["named"]) == 0
+        assert capsys.readouterr().out.split("\n") == [*NAMED_GRAPH_IDS, ""]
 
     def test_figure_id_edgelist(self, capsys):
         assert main(["named", "fig2_g1"]) == 0
@@ -762,9 +761,6 @@ class TestNamed:
 
     def test_bad_parameter_exits_2(self, capsys):
         assert_error(main(["named", "C2"]), 2, capsys)
-
-    def test_missing_id_exits_2(self, capsys):
-        assert "a graph id is required" in assert_error(main(["named"]), 2, capsys)
 
 
 def test_console_entry_point_runs():

@@ -186,6 +186,12 @@ class TestExtractWitness:
         with pytest.raises(ValueError, match="empty"):
             extract_witness_tracks(report)
 
+    def test_rule_name_refused(self):
+        # A name would be walked by the strong step.
+        report = compute_span(cycle_graph(5), L)
+        with pytest.raises(TypeError, match="'lazy' is not a MovementRule"):
+            extract_witness_tracks(SpanReport(report.graph, "lazy", report.value, report.members))
+
     @pytest.mark.parametrize("rule", (T, A, L), ids=lambda r: r.value)
     def test_every_order_le_5_walk_is_valid_and_bounded(self, rule):
         failures = []
@@ -215,6 +221,13 @@ class TestTrackPair:
         t = TrackPair((0, 1, 1), (2, 2, 1), L)
         assert TrackPair([0, 1, 1], [2, 2, 1], L) == t
         assert TrackPair(ids(t.f), ids(t.g), L) == t
+
+    def test_rule_name_refused(self):
+        # A name would be validated as the lazy rule: these walks follow the
+        # traditional rule on C5, not the lazy one.
+        with pytest.raises(TypeError, match="'traditional' is not a MovementRule"):
+            TrackPair((0, 1), (2, 3), "traditional")
+        assert validate_tracks(cycle_graph(5), TrackPair((0, 1), (2, 3), T)).conforms
 
 
 class TestValidateTracks:

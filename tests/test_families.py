@@ -24,7 +24,7 @@ from spanlab.graph import MAX_ORDER
 from spanlab.product import MovementRule
 from spanlab.verify import RULES, oracle_span
 
-from conftest import to_networkx
+from conftest import Id, to_networkx
 
 
 class TestGenerate:
@@ -77,6 +77,23 @@ class TestGenerate:
     def test_out_of_range_rejected(self, spec):
         with pytest.raises(ParameterOutOfRangeError):
             generate(spec)
+
+    def test_integer_like_parameters_read_as_ints(self):
+        assert generate(FamilySpec("cycle", Id(5))) == cycle_graph(5)
+        assert generate(FamilySpec("complete_bipartite", Id(2), Id(3))) == generate(
+            FamilySpec("complete_bipartite", 2, 3)
+        )
+        assert expected_spans(FamilySpec("cycle", Id(5))) == (2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FamilySpec("cycle", 5.0), FamilySpec("cycle", 5.5), FamilySpec("complete_bipartite", 2, 3.0)],
+        ids=lambda spec: f"{spec.kind}-{spec.n}-{spec.m}",
+    )
+    def test_float_parameter_raises_type_error(self, spec):
+        for call in (generate, expected_spans):
+            with pytest.raises(TypeError, match=f"must be integers, got .*{spec.m or spec.n}"):
+                call(spec)
 
     def test_unknown_kind_has_no_display_name(self):
         with pytest.raises(ParameterOutOfRangeError):

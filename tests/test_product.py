@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 
 from spanlab.engine import compute_span, extract_witness_tracks
-from spanlab.families import complete_bipartite_graph, cycle_graph, named_graph, path_graph
+from spanlab.families import (
+    complete_bipartite_graph,
+    cycle_graph,
+    named_graph,
+    paramecium_graph,
+    path_graph,
+)
 from spanlab.graph import Graph, _bits, _levels
 from spanlab.product import (
     MovementRule,
@@ -191,6 +197,14 @@ class TestPairNeighbors:
                         for k, level in enumerate(levels, start=1)
                     }
                     assert got == expected, (g.edges(), rule, r, source)
+
+    def test_rule_name_refused(self):
+        # A name would fall through to the strong step: the direct span of
+        # PC5 is 2, the strong span 3.
+        g = paramecium_graph(5)
+        for call in (pair_neighbors, compute_span):
+            with pytest.raises(TypeError, match="'active' is not a MovementRule"):
+                call(g, "active")
 
 
 class TestComponents:

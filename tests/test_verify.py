@@ -107,6 +107,12 @@ class TestOracle:
         with pytest.raises(TooLargeError):
             oracle_span(cycle_graph(8), T)
 
+    def test_rule_name_refused(self):
+        # A name would be searched by the direct rule's moves: the cartesian
+        # span of PC3 is 2, the direct span 1.
+        with pytest.raises(TypeError, match="'lazy' is not a MovementRule"):
+            oracle_span(paramecium_graph(3), "lazy")
+
     def test_agrees_with_engine_on_random_6_vertex_graphs(self):
         for g in random_graphs(25, (6, 6), 0.35, seed=60):
             for rule in RULES:
@@ -316,7 +322,7 @@ class TestCheckTheorems:
             for a in nx.graph_atlas_g()
             if a.number_of_nodes() == 7 and nx.is_connected(a)
         ]
-        records = list(check_theorems(corpus, jobs=1, check_witnesses=True, oracle_max_n=7))
+        records = [check_graph(g, check_witnesses=True, oracle_max_n=7) for g in corpus]
         assert len(records) == 853
         assert all(r.oracle_checked for r in records)
         assert [r for r in records if r.violations] == []
@@ -334,16 +340,6 @@ class TestCheckTheorems:
         record = check_graph(cycle_graph(5), check_witnesses=violation.startswith("transform"))
         assert record.violations == (violation,)
         assert record.to_line() == f"graph6=Dhc n=5 radius=2 {fields} ok=0 violations={violation}"
-
-    def test_oracle_cap_over_the_limit_refused_up_front(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a graph was checked")
-
-        monkeypatch.setattr(verify, "check_graph", fail)
-        corpus = [path_graph(3), cycle_graph(8)]
-        for jobs in (1, 2):
-            with pytest.raises(ValueError, match="oracle"):
-                check_theorems(corpus, jobs=jobs, oracle_max_n=ORACLE_MAX_N + 1)
 
     def test_check_graph_refuses_an_oracle_cap_over_the_limit_up_front(self, monkeypatch):
         # Refused whether or not the graph is small enough for the oracle,

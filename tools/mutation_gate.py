@@ -417,6 +417,41 @@ MUTANTS = (
         "",
         ("tests/test_verify.py::TestCheckTheorems::test_nonconforming_witness_is_recorded_not_raised",),
     ),
+    Mutant(
+        # The order-7 atlas check, at the oracle's cap, is then refused.
+        "check-graph-oracle-cap-inclusive",
+        "verify.py",
+        "if oracle_max_n > ORACLE_MAX_N:",
+        "if oracle_max_n >= ORACLE_MAX_N:",
+        ("tests/test_verify.py::TestCheckTheorems::test_order7_atlas_against_oracle",),
+    ),
+    *(
+        # A rule's name then reaches the code that reads the rule.
+        Mutant(
+            f"{name}-takes-rule-names",
+            file,
+            f"{indent}if type({rule}) is not MovementRule:\n"
+            f'{indent}    raise TypeError(f"rule {{{rule}!r}} is not a MovementRule")\n',
+            "",
+            (test,),
+        )
+        for name, file, rule, indent, test in (
+            ("pair-neighbors", "product.py", "rule", "    ",
+             "tests/test_product.py::TestPairNeighbors::test_rule_name_refused"),
+            ("oracle", "verify.py", "rule", "    ",
+             "tests/test_verify.py::TestOracle::test_rule_name_refused"),
+            ("track-pair", "engine.py", "self.rule", "        ",
+             "tests/test_engine.py::TestTrackPair::test_rule_name_refused"),
+        )
+    ),
+    Mutant(
+        # An integer-like parameter then meets ``<`` and ``range``.
+        "family-parameters-not-read-as-ints",
+        "families.py",
+        "params = tuple(p if p is None else index(p) for p in params)",
+        "params = tuple(params)",
+        ("tests/test_families.py::TestGenerate::test_integer_like_parameters_read_as_ints",),
+    ),
     *(
         Mutant(
             f"{violation}-never-recorded",
